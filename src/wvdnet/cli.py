@@ -142,8 +142,6 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         learning_rate=cfg.learning_rate,
         momentum=cfg.momentum,
         seed=cfg.seed,
-        holdout_fraction=None if cfg.test_fold >= 1 else cfg.holdout_fraction,
-        test_folds=(cfg.test_fold,) if cfg.test_fold >= 1 else None,
     )
     eval_x = store.images[test_idx] if len(test_idx) else None
     eval_y = store.labels[test_idx] if len(test_idx) else None

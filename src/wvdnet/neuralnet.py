@@ -99,49 +99,49 @@ class Conv2d:
 
 
 class MaxPool2d:
-    """Per-window max with floor-mode output size; ties go to the first
-    element in the window's row-major scan."""
+    """Per-window max with floor-mode output size; a NaN anywhere in a window
+    makes that output NaN. Ties go to the first element in the window's
+    row-major scan, and backward keeps one uint8 index of that tap per output."""
 
     def __init__(self, kernel=2, stride=2):
+        if not 1 <= kernel <= 16:  # the tap index is one byte: k*k <= 256
+            raise ValueError(f"pooling kernel must be in [1, 16], got {kernel}")
         self.kernel = kernel
         self.stride = stride
         self._cache = None
+
+    def _taps(self, x, hout, wout):
+        """One strided view of x per window position, each shaped like the output."""
+        k, s = self.kernel, self.stride
+        rows, cols = s * (hout - 1) + 1, s * (wout - 1) + 1
+        return [x[:, :, i : i + rows : s, j : j + cols : s] for i in range(k) for j in range(k)]
 
     def forward(self, x, train=False):
         b, c, h, w = x.shape
         k, s = self.kernel, self.stride
         if h < k or w < k:
             raise ValueError(f"input {h}x{w} smaller than pooling window {k}x{k}")
-        hout = (h - k) // s + 1
-        wout = (w - k) // s + 1
-        sb, sc, sh, sw = x.strides
-        view = as_strided(
-            x, shape=(b, c, hout, wout, k, k), strides=(sb, sc, sh * s, sw * s, sh, sw)
-        )
-        windows = np.ascontiguousarray(view).reshape(b, c, hout, wout, k * k)
-        self.argmax = windows.argmax(axis=-1)
-        out = np.take_along_axis(windows, self.argmax[..., None], axis=-1)[..., 0]
-        self._cache = (x.shape, hout, wout)
+        taps = self._taps(x, (h - k) // s + 1, (w - k) // s + 1)
+        out = taps[0].copy()
+        for tap in taps[1:]:
+            # np.maximum returns its second operand on a tie, so the running
+            # max keeps the first tap's bits when +0.0 and -0.0 tie
+            np.maximum(tap, out, out=out)
+        # first-match tap index = number of leading taps that miss the max
+        miss = taps[0] != out
+        which = miss.view(np.uint8).copy()
+        for tap in taps[1:-1]:
+            miss &= tap != out
+            which += miss.view(np.uint8)
+        self._cache = (x.shape, which)
         return out
 
     def backward(self, grad_out):
-        (b, c, h, w), hout, wout = self._cache
-        k, s = self.kernel, self.stride
-        rows = self.argmax // k
-        cols = self.argmax % k
-        oh = np.arange(hout)[None, None, :, None]
-        ow = np.arange(wout)[None, None, None, :]
-        hpos = oh * s + rows
-        wpos = ow * s + cols
-        bidx = np.arange(b)[:, None, None, None]
-        cidx = np.arange(c)[None, :, None, None]
-        flat = ((bidx * c + cidx) * h + hpos) * w + wpos
-        gx = np.zeros(b * c * h * w, dtype=grad_out.dtype)
-        if s >= k:  # windows disjoint -> indices unique
-            gx[flat.ravel()] += grad_out.ravel()
-        else:
-            np.add.at(gx, flat.ravel(), grad_out.ravel())
-        return gx.reshape(b, c, h, w)
+        x_shape, which = self._cache
+        gx = np.zeros(x_shape, dtype=grad_out.dtype)
+        for q, tap in enumerate(self._taps(gx, *which.shape[2:])):
+            tap += grad_out * (which == q)
+        return gx
 
     def parameters(self):
         return []
@@ -449,8 +449,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     momentum: float = 0.9
     seed: int = 0
-    holdout_fraction: float | None = 0.8  # train share of a stratified holdout
-    test_folds: tuple | None = None
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -461,10 +459,6 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.holdout_fraction is not None and not 0 < self.holdout_fraction < 1:
-            raise ValueError(
-                f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}"
-            )
 
 
 def accuracy(net: Network, images, labels, batch_size=32) -> float:

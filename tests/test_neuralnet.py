@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 from conftest import assert_grads_close, numeric_gradient
+from numpy.lib.stride_tricks import as_strided
 
 from wvdnet.neuralnet import (
     Conv2d,
@@ -97,7 +98,72 @@ class TestConvBackward:
         assert_grads_close(grad_in, numeric_gradient(loss, x))
 
 
+def reference_maxpool(x, k, s, grad_out=None):
+    """Window-copy max-pool: copies every k x k window out, takes its argmax
+    and scatters the gradient back through flat input indices."""
+    b, c, h, w = x.shape
+    hout = (h - k) // s + 1
+    wout = (w - k) // s + 1
+    sb, sc, sh, sw = x.strides
+    view = as_strided(x, shape=(b, c, hout, wout, k, k), strides=(sb, sc, sh * s, sw * s, sh, sw))
+    windows = np.ascontiguousarray(view).reshape(b, c, hout, wout, k * k)
+    argmax = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
+    if grad_out is None:
+        return out, None
+    hpos = np.arange(hout)[None, None, :, None] * s + argmax // k
+    wpos = np.arange(wout)[None, None, None, :] * s + argmax % k
+    bidx = np.arange(b)[:, None, None, None]
+    cidx = np.arange(c)[None, :, None, None]
+    flat = ((bidx * c + cidx) * h + hpos) * w + wpos
+    gx = np.zeros(b * c * h * w, dtype=grad_out.dtype)
+    if s >= k:  # windows disjoint -> indices unique
+        gx[flat.ravel()] += grad_out.ravel()
+    else:
+        np.add.at(gx, flat.ravel(), grad_out.ravel())
+    return out, gx.reshape(b, c, h, w)
+
+
+POOL_GEOMETRIES = [(2, 2, 75, 75), (2, 2, 7, 9), (3, 3, 10, 11), (3, 2, 9, 8), (2, 1, 7, 6)]
+
+
 class TestMaxPool:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,s,h,w", POOL_GEOMETRIES)
+    def test_matches_window_copy_reference(self, k, s, h, w, dtype):
+        rng = np.random.default_rng(k * 100 + s * 10 + h)
+        x = np.round(rng.standard_normal((2, 3, h, w)) * 2) / 2  # many equal maxima
+        x = (x * (x > 0)).astype(dtype)  # relu output: ties among +0.0 and -0.0
+        pool = MaxPool2d(k, s)
+        out = pool.forward(x)
+        grad_out = rng.standard_normal(out.shape).astype(dtype)
+        grad_in = pool.backward(grad_out)
+        ref_out, ref_grad = reference_maxpool(x, k, s, grad_out)
+        assert out.dtype == ref_out.dtype and out.shape == ref_out.shape
+        assert out.tobytes() == ref_out.tobytes()
+        assert grad_in.dtype == ref_grad.dtype and grad_in.shape == ref_grad.shape
+        if s >= k:
+            assert grad_in.tobytes() == ref_grad.tobytes()
+        else:  # overlapping windows: the summation order differs
+            atol = 1e-12 if dtype == np.float64 else 1e-5
+            np.testing.assert_allclose(grad_in, ref_grad, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("k,s,h,w", POOL_GEOMETRIES)
+    def test_nan_anywhere_in_a_window_propagates(self, k, s, h, w):
+        rng = np.random.default_rng(7)
+        pool = MaxPool2d(k, s)
+        for i in range(k):
+            for j in range(k):
+                x = np.abs(rng.standard_normal((1, 2, h, w)))
+                x[0, 1, s + i, s + j] = np.nan  # window (1, 1) of channel 1
+                out = pool.forward(x)
+                assert np.isnan(out[0, 1, 1, 1])
+                np.testing.assert_array_equal(out, reference_maxpool(x, k, s)[0])
+
+    def test_kernel_beyond_tap_index_rejected(self):
+        with pytest.raises(ValueError, match="kernel"):
+            MaxPool2d(17, 17)
+
     def test_two_by_two(self):
         pool = MaxPool2d(2, 2)
         out = pool.forward(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
@@ -302,8 +368,6 @@ class TestTraining:
             TrainConfig(epochs=1, batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, momentum=1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=1, holdout_fraction=1.0)
 
 
 class TestPredict:
