@@ -59,6 +59,7 @@ def decode_wav(data: bytes) -> list[Signal]:
     """Decode PCM16 / float32 WAV bytes into one Signal per channel.
 
     Integer samples are scaled by 1/32768 so full negative scale maps to -1.
+    Float samples must be finite: a NaN or infinity raises DataError.
     """
     fmt = None
     payload = None
@@ -101,6 +102,8 @@ def decode_wav(data: bytes) -> list[Signal]:
     raw = raw.reshape(frames, channels).astype(np.float64)
     if audio_format == 1:
         raw /= 32768.0
+    elif not np.isfinite(raw).all():
+        raise DataError("'data' chunk holds non-finite float samples")
     return [Signal(raw[:, ch].copy(), float(rate)) for ch in range(channels)]
 
 
@@ -155,7 +158,7 @@ class ClipRecord:
     label: int
     class_name: str
     fold: int | None
-    duration_s: float
+    duration_s: float | None  # None when the header could not be read
 
 
 @dataclass(frozen=True)
@@ -179,12 +182,12 @@ class DatasetManifest:
         return len(self.records)
 
 
-def _probe_duration(path: Path) -> float:
+def _probe_duration(path: Path) -> float | None:
     try:
         rate, _, frames = probe_wav(path)
         return frames / rate
     except (DataError, OSError):
-        return 0.0  # undecodable clips surface later in the preprocessing skip report
+        return None  # undecodable clips surface later in the preprocessing skip report
 
 
 def _load_csv_manifest(root, csv_path, audio_path_for, cols, class_col, id_col, max_id, source):

@@ -10,6 +10,17 @@ The reference classifier is three 3x3 conv blocks (16, 32, 64 channels, each
 followed by relu and 2x2 max-pooling), then flatten, dropout, a 500-unit
 hidden layer with relu and dropout, and the class logits. On a 1x300x300
 input the flatten width is 87,616.
+
+A training step keeps no batch-sized scratch beyond the activations
+themselves: Conv2d caches its padded input and builds im2col columns one
+sample at a time; the SGD update scales the gradient, the velocity and the
+weights in place. Network runs a ReLU that directly precedes a MaxPool2d
+after that pool, on a quarter of the elements. That is exact because relu
+is monotone: relu(max(w)) = max(relu(w)) for every window w, and when the
+max is positive it sits at the same first-match tap either way. A window
+whose max is <= 0 outputs zero and passes zero gradient in both orders; only
+the sign of such intermediate zeros can differ, and a signed zero leaves
+every sum it joins unchanged unless that sum is itself zero.
 """
 
 from __future__ import annotations
@@ -24,13 +35,17 @@ from numpy.lib.stride_tricks import as_strided
 
 CHECKPOINT_MAGIC = b"WVDN"
 CHECKPOINT_VERSION = 1
+_INIT_CHUNK = 1 << 20  # float64 draws per chunk of Linear's weight init
 
 
 # -- layer implementations ---------------------------------------------------
 
 
 class Conv2d:
-    """2D cross-correlation with zero padding, via im2col + matmul."""
+    """2D cross-correlation with zero padding, one sample at a time: each
+    sample's im2col columns go into one reused (c*kh*kw, hout*wout)
+    workspace that feeds a single matmul. Forward caches only the padded
+    input; backward rebuilds each sample's columns from it."""
 
     def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, dtype=np.float32, rng=None):
         self.in_ch = in_ch
@@ -46,8 +61,9 @@ class Conv2d:
         self.bias = np.zeros(out_ch, dtype=dtype)
         self._cache = None
 
-    def _im2col(self, x):
-        b, c, h, w = x.shape
+    def _pad(self, x):
+        """Check the geometry; returns the zero-padded input and hout, wout."""
+        _, c, h, w = x.shape
         p, s = self.padding, self.stride
         if c != self.in_ch:
             raise ValueError(f"expected {self.in_ch} input channels, got {c}")
@@ -61,37 +77,59 @@ class Conv2d:
                 f"stride {s}, padding {p}"
             )
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        sb, sc, sh, sw = xp.strides
-        view = as_strided(
-            xp,
-            shape=(b, c, self.kh, self.kw, hout, wout),
-            strides=(sb, sc, sh, sw, sh * s, sw * s),
-        )
-        cols = np.ascontiguousarray(view).reshape(b, c * self.kh * self.kw, hout * wout)
-        return cols, hout, wout
+        return xp, hout, wout
+
+    def _columns(self, sample, hout, wout, cols):
+        """Fill cols [c*kh*kw, hout*wout] with one padded sample's windows."""
+        s = self.stride
+        sc, sh, sw = sample.strides
+        shape = (sample.shape[0], self.kh, self.kw, hout, wout)
+        np.copyto(cols.reshape(shape),
+                  as_strided(sample, shape=shape, strides=(sc, sh, sw, sh * s, sw * s)))
 
     def forward(self, x, train=False):
-        cols, hout, wout = self._im2col(x)
+        xp, hout, wout = self._pad(x)
         w2 = self.weight.reshape(self.out_ch, -1)
-        out = np.matmul(w2[None], cols) + self.bias[None, :, None]
-        self._cache = (x.shape, cols)
-        return out.reshape(x.shape[0], self.out_ch, hout, wout)
+        cols = np.empty((w2.shape[1], hout * wout), dtype=xp.dtype)
+        out = np.empty((len(xp), self.out_ch, hout * wout), dtype=np.result_type(w2, cols))
+        for n, sample in enumerate(xp):
+            self._columns(sample, hout, wout, cols)
+            np.matmul(w2, cols, out=out[n])
+        out += self.bias[:, None]
+        self._cache = (x.shape, xp)
+        return out.reshape(len(xp), self.out_ch, hout, wout)
 
-    def backward(self, grad_out):
-        x_shape, cols = self._cache
+    def backward(self, grad_out, input_grad=True):
+        """Parameter gradients, plus the input gradient unless input_grad is
+        false. grad_weight sums the samples' products in batch order."""
+        x_shape, xp = self._cache
         b, c, h, w = x_shape
         p, s = self.padding, self.stride
         _, _, hout, wout = grad_out.shape
         g2 = grad_out.reshape(b, self.out_ch, hout * wout)
         self.grad_bias = grad_out.sum(axis=(0, 2, 3))
-        gw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
-        self.grad_weight = gw.reshape(self.weight.shape)
         w2 = self.weight.reshape(self.out_ch, -1)
-        gcols = np.matmul(w2.T[None], g2).reshape(b, c, self.kh, self.kw, hout, wout)
-        gx = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=grad_out.dtype)
-        for i in range(self.kh):
-            for j in range(self.kw):
-                gx[:, :, i : i + s * hout : s, j : j + s * wout : s] += gcols[:, :, i, j]
+        cols = np.empty((w2.shape[1], hout * wout), dtype=xp.dtype)
+        gw = np.empty(w2.shape, dtype=np.result_type(g2, cols))
+        term = np.empty_like(gw)
+        if input_grad:
+            gcols = np.empty(cols.shape, dtype=np.result_type(w2, g2))
+            gx = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=grad_out.dtype)
+        for n, sample in enumerate(xp):
+            self._columns(sample, hout, wout, cols)
+            if n:
+                gw += np.matmul(g2[n], cols.T, out=term)
+            else:
+                np.matmul(g2[0], cols.T, out=gw)
+            if input_grad:
+                np.matmul(w2.T, g2[n], out=gcols)
+                taps = gcols.reshape(c, self.kh, self.kw, hout, wout)
+                for i in range(self.kh):
+                    for j in range(self.kw):
+                        gx[n, :, i : i + s * hout : s, j : j + s * wout : s] += taps[:, i, j]
+        self.grad_weight = gw.reshape(self.weight.shape)
+        if not input_grad:
+            return None
         return gx[:, :, p : p + h, p : p + w] if p else gx
 
     def parameters(self):
@@ -208,7 +246,13 @@ class Linear:
         bound = np.sqrt(6.0 / in_features)
         if rng is None:
             rng = np.random.default_rng(0)
-        self.weight = rng.uniform(-bound, bound, size=(out_features, in_features)).astype(dtype)
+        # Row chunks of float64 draws, cast as they land: the same stream and
+        # values as one full-size draw, without its float64 temporary.
+        self.weight = np.empty((out_features, in_features), dtype=dtype)
+        rows = max(1, _INIT_CHUNK // in_features)
+        for start in range(0, out_features, rows):
+            block = self.weight[start : start + rows]
+            block[...] = rng.uniform(-bound, bound, size=block.shape)
         self.bias = np.zeros(out_features, dtype=dtype)
 
     def forward(self, x, train=False):
@@ -219,10 +263,10 @@ class Linear:
         self._x = x
         return x @ self.weight.T + self.bias
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         self.grad_weight = grad_out.T @ self._x
         self.grad_bias = grad_out.sum(axis=0)
-        return grad_out @ self.weight
+        return grad_out @ self.weight if input_grad else None
 
     def parameters(self):
         return [("weight", self), ("bias", self)]
@@ -362,7 +406,7 @@ class Network:
         self.config = config
         self.dtype = dtype
         self.rng = np.random.default_rng(config.seed)
-        self.layers = []
+        self.layers = []  # in config order
         for spec in config.layers:
             kind = spec["type"]
             if kind == "conv2d":
@@ -384,6 +428,11 @@ class Network:
                 self.layers.append(
                     Linear(spec["in_features"], spec["out_features"], dtype=dtype, rng=self.rng)
                 )
+        # Run order: a ReLU directly followed by a MaxPool2d runs after it.
+        self._order = list(range(len(self.layers)))
+        for i in range(len(self.layers) - 1):
+            if isinstance(self.layers[i], ReLU) and isinstance(self.layers[i + 1], MaxPool2d):
+                self._order[i], self._order[i + 1] = i + 1, i
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=self.dtype)
@@ -394,15 +443,19 @@ class Network:
                 f"input shape {x.shape[1:]} does not match network input "
                 f"{tuple(self.config.input_shape)}"
             )
-        for layer in self.layers:
-            x = layer.forward(x, train=train)
+        for i in self._order:
+            x = self.layers[i].forward(x, train=train)
         return x
 
     def backward(self, grad_logits):
+        """Fill every layer's parameter gradients. The network's input
+        gradient is never read, so the first layer does not compute it."""
         g = grad_logits
-        for layer in reversed(self.layers):
-            g = layer.backward(g)
-        return g
+        first, *rest = self._order
+        for i in reversed(rest):
+            g = self.layers[i].backward(g)
+        if self.layers[first].parameters():
+            self.layers[first].backward(g, input_grad=False)
 
     def param_arrays(self):
         out = []
@@ -503,7 +556,7 @@ def train(
     shuffle_rng = np.random.default_rng(cfg.seed)
     velocity = [np.zeros_like(getattr(owner, name)) for owner, name in net.param_arrays()]
     history = []
-    best = (None, -1.0)
+    best, best_accuracy = None, -1.0
 
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(len(train_images))
@@ -515,19 +568,22 @@ def train(
             net.backward(grad)
             losses.append(loss)
             for vel, (owner, name) in zip(velocity, net.param_arrays()):
-                grad_arr = getattr(owner, "grad_" + name)
+                param, grad_arr = getattr(owner, name), getattr(owner, "grad_" + name)
+                grad_arr *= cfg.learning_rate  # in place: not read again this step
                 vel *= cfg.momentum
-                vel -= cfg.learning_rate * grad_arr
-                setattr(owner, name, getattr(owner, name) + vel)
+                vel -= grad_arr
+                param += vel
         row = {"epoch": epoch, "train_loss": float(np.mean(losses)), "eval_accuracy": None}
         if eval_images is not None and len(eval_images):
             row["eval_accuracy"] = accuracy(net, eval_images, eval_labels)
-            if row["eval_accuracy"] >= best[1]:
-                best = (net.snapshot(), row["eval_accuracy"])
+            if row["eval_accuracy"] >= best_accuracy:
+                best_accuracy = row["eval_accuracy"]
+                # the last epoch's weights are already in place
+                best = net.snapshot() if epoch < cfg.epochs else None
         history.append(row)
 
-    if best[0] is not None:
-        net.load_snapshot(best[0])
+    if best is not None:
+        net.load_snapshot(best)
     return net, history
 
 

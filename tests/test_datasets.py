@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +78,12 @@ class TestDecodeWav:
         signals = decode_wav(wav_bytes(payload, fmt_tag=3, bits=32))
         np.testing.assert_allclose(signals[0].samples, [0.0, 0.25, -1.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_sample_rejected(self, bad):
+        payload = struct.pack("<4f", 0.0, 0.25, bad, -1.0)  # stereo: frame 1, channel 0
+        with pytest.raises(DataError, match="non-finite"):
+            decode_wav(wav_bytes(payload, fmt_tag=3, channels=2, bits=32))
+
     def test_truncated_data_chunk_named(self):
         blob = wav_bytes(pcm16(1, 2, 3))
         truncated = blob[:-2]
@@ -150,6 +157,13 @@ class TestFolderManifest:
     def test_no_classes_rejected(self, tmp_path):
         with pytest.raises(DataError, match="class directories"):
             load_manifest(tmp_path, "folder_per_class")
+
+    def test_unreadable_clip_has_unknown_duration(self, tmp_path):
+        make_folder_dataset(tmp_path, {"ok": 1})
+        (tmp_path / "ok" / "junk.wav").write_bytes(b"this is not audio at all")
+        durations = {Path(r.path).name: r.duration_s
+                     for r in load_manifest(tmp_path, "folder_per_class").records}
+        assert durations == {"clip_000.wav": pytest.approx(0.5), "junk.wav": None}
 
 
 def make_urbansound_layout(root, rows):
@@ -374,6 +388,20 @@ class TestPreprocess:
         assert "junk.wav" in report and "RIFF" in report
         store = load_store(tmp_path / "store")
         assert len(store) == 1
+
+    def test_non_finite_float_clip_lands_in_skip_report(self, tmp_path):
+        root = tmp_path / "data"
+        make_folder_dataset(root, {"ok": 1})
+        samples = np.zeros(2000, dtype="<f4")
+        samples[700] = np.nan
+        (root / "ok" / "nan.wav").write_bytes(
+            wav_bytes(samples.tobytes(), fmt_tag=3, rate=4000, bits=32))
+        manifest = load_manifest(root, "folder_per_class")
+        summary = preprocess_dataset(manifest, build_config({}, SMALL_CFG), tmp_path / "store")
+        assert summary == {"written": 1, "skipped": 1}
+        report = (tmp_path / "store" / "skipped.txt").read_text()
+        assert "nan.wav" in report and "non-finite" in report
+        assert np.isfinite(load_store(tmp_path / "store").images).all()
 
     def test_is_store_current(self, tmp_path):
         root = tmp_path / "data"

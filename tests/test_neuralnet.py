@@ -5,6 +5,7 @@ import pytest
 from conftest import assert_grads_close, numeric_gradient
 from numpy.lib.stride_tricks import as_strided
 
+from wvdnet import neuralnet
 from wvdnet.neuralnet import (
     Conv2d,
     Dropout,
@@ -14,6 +15,7 @@ from wvdnet.neuralnet import (
     Network,
     ReLU,
     TrainConfig,
+    accuracy,
     infer_shapes,
     load_checkpoint,
     predict,
@@ -96,6 +98,66 @@ class TestConvBackward:
         assert_grads_close(conv.grad_weight, numeric_gradient(loss, conv.weight))
         assert_grads_close(conv.grad_bias, numeric_gradient(loss, conv.bias))
         assert_grads_close(grad_in, numeric_gradient(loss, x))
+
+
+def reference_conv2d(conv, x, grad_out):
+    """Batch im2col conv: one [B, c*kh*kw, hout*wout] column matrix, a
+    batched matmul, and the weight gradient summed over the batch axis."""
+    b, c, h, w = x.shape
+    p, s, kh, kw = conv.padding, conv.stride, conv.kh, conv.kw
+    hout = (h + 2 * p - kh) // s + 1
+    wout = (w + 2 * p - kw) // s + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    sb, sc, sh, sw = xp.strides
+    view = as_strided(xp, shape=(b, c, kh, kw, hout, wout),
+                      strides=(sb, sc, sh, sw, sh * s, sw * s))
+    cols = np.ascontiguousarray(view).reshape(b, c * kh * kw, hout * wout)
+    w2 = conv.weight.reshape(conv.out_ch, -1)
+    out = (np.matmul(w2[None], cols) + conv.bias[None, :, None]).reshape(b, -1, hout, wout)
+    g2 = grad_out.reshape(b, conv.out_ch, hout * wout)
+    grad_bias = grad_out.sum(axis=(0, 2, 3))
+    grad_weight = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(conv.weight.shape)
+    gcols = np.matmul(w2.T[None], g2).reshape(b, c, kh, kw, hout, wout)
+    gx = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=grad_out.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gx[:, :, i : i + s * hout : s, j : j + s * wout : s] += gcols[:, :, i, j]
+    return out, grad_weight, grad_bias, gx[:, :, p : p + h, p : p + w]
+
+
+CONV_GEOMETRIES = [  # in_ch, out_ch, kernel, stride, padding, h, w
+    (1, 4, 3, 1, 1, 9, 9),
+    (3, 5, 3, 2, 1, 9, 9),
+    (2, 3, 1, 1, 0, 5, 5),
+    (2, 4, 3, 1, 1, 6, 11),
+]
+
+
+class TestConvMatchesBatchIm2col:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("in_ch,out_ch,kernel,stride,padding,h,w", CONV_GEOMETRIES)
+    def test_bitwise_equal_to_reference(self, in_ch, out_ch, kernel, stride, padding, h, w, dtype):
+        rng = np.random.default_rng(in_ch * 10 + h + w)
+        conv = Conv2d(in_ch, out_ch, kernel, stride, padding, dtype=dtype, rng=rng)
+        conv.bias = rng.standard_normal(out_ch).astype(dtype)
+        x = rng.standard_normal((3, in_ch, h, w)).astype(dtype)
+        out = conv.forward(x)
+        grad_out = rng.standard_normal(out.shape).astype(dtype)
+        grad_in = conv.backward(grad_out)
+        ref = reference_conv2d(conv, x, grad_out)
+        for got, want in zip((out, conv.grad_weight, conv.grad_bias, grad_in), ref):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_without_input_gradient_parameter_gradients_are_unchanged(self):
+        rng = np.random.default_rng(3)
+        conv = Conv2d(2, 3, 3, 1, 1, rng=rng)
+        x = rng.standard_normal((2, 2, 6, 7)).astype(np.float32)
+        grad_out = rng.standard_normal(conv.forward(x).shape).astype(np.float32)
+        conv.backward(grad_out)
+        grads = conv.grad_weight.tobytes(), conv.grad_bias.tobytes()
+        assert conv.backward(grad_out, input_grad=False) is None
+        assert (conv.grad_weight.tobytes(), conv.grad_bias.tobytes()) == grads
 
 
 def reference_maxpool(x, k, s, grad_out=None):
@@ -223,6 +285,13 @@ class TestSimpleLayers:
         assert_grads_close(lin.grad_bias, numeric_gradient(loss, lin.bias))
         assert_grads_close(grad_in, numeric_gradient(loss, x))
 
+    def test_linear_init_matches_one_full_draw(self):
+        width = neuralnet._INIT_CHUNK // 3 + 1  # two rows per chunk, five rows
+        lin = Linear(width, 5, rng=np.random.default_rng(9))
+        bound = np.sqrt(6.0 / width)
+        full = np.random.default_rng(9).uniform(-bound, bound, size=(5, width))
+        assert lin.weight.tobytes() == full.astype(np.float32).tobytes()
+
     def test_linear_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="expects"):
             Linear(6, 4).forward(np.ones((2, 5), dtype=np.float32))
@@ -309,7 +378,96 @@ def small_dataset(n=12, classes=3, seed=1):
     return images, labels
 
 
+def spec_order_pass(net, x, grad_logits, train):
+    """Forward and backward through net.layers in config order (each ReLU
+    before its pool); returns the logits and copies of the parameter gradients."""
+    x = np.asarray(x, dtype=net.dtype)
+    for layer in net.layers:
+        x = layer.forward(x, train=train)
+    g = grad_logits
+    for layer in reversed(net.layers):
+        g = layer.backward(g)
+    return x, [getattr(owner, "grad_" + name).copy() for owner, name in net.param_arrays()]
+
+
+class TestNetworkPasses:
+    def test_layers_stay_in_config_order(self):
+        config = small_config()
+        kinds = {"Conv2d": "conv2d", "ReLU": "relu", "MaxPool2d": "maxpool2d",
+                 "Flatten": "flatten", "Dropout": "dropout", "Linear": "linear"}
+        net = Network(config)
+        assert [kinds[type(layer).__name__] for layer in net.layers] == [
+            spec["type"] for spec in config.layers]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("train_mode", [False, True])
+    def test_relu_after_pool_is_bitwise_equal_to_config_order(self, dtype, train_mode):
+        net = Network(small_config(seed=11), dtype=dtype)
+        rng = np.random.default_rng(12)
+        for owner, name in net.param_arrays():
+            if name == "bias":  # biases of both signs: tied windows above and below zero
+                setattr(owner, name, (0.1 * rng.standard_normal(owner.bias.shape)).astype(dtype))
+        x = np.round(rng.standard_normal((4, 1, 16, 16)) * 2) / 2
+        x[:, :, :8] = 0.0  # flat rows: conv outputs there equal the bias
+        grad = rng.standard_normal((4, 3)).astype(dtype)
+        masks = net.rng.bit_generator.state  # replay the same dropout masks
+        ref_logits, ref_grads = spec_order_pass(net, x, grad, train_mode)
+        net.rng.bit_generator.state = masks
+        logits = net.forward(x, train=train_mode)
+        net.backward(grad)
+        assert logits.tobytes() == ref_logits.tobytes()
+        for (owner, name), ref in zip(net.param_arrays(), ref_grads):
+            assert getattr(owner, "grad_" + name).tobytes() == ref.tobytes()
+
+
+def reference_train(config, images, labels, cfg, eval_images, eval_labels):
+    """SGD with momentum as a fresh-array update per step, snapshotting every
+    epoch that ties or beats the best eval accuracy and restoring the last
+    such snapshot at the end."""
+    net = Network(config, dtype=np.float32)
+    shuffle_rng = np.random.default_rng(cfg.seed)
+    velocity = [np.zeros_like(getattr(owner, name)) for owner, name in net.param_arrays()]
+    history, best = [], (None, -1.0)
+    for epoch in range(1, cfg.epochs + 1):
+        order = shuffle_rng.permutation(len(images))
+        losses = []
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            loss, grad = _batch_softmax_cross_entropy(net.forward(images[batch], train=True),
+                                                      labels[batch])
+            net.backward(grad)
+            losses.append(loss)
+            for vel, (owner, name) in zip(velocity, net.param_arrays()):
+                vel *= cfg.momentum
+                vel -= cfg.learning_rate * getattr(owner, "grad_" + name)
+                setattr(owner, name, getattr(owner, name) + vel)
+        acc = accuracy(net, eval_images, eval_labels)
+        history.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
+                        "eval_accuracy": acc})
+        if acc >= best[1]:
+            best = (net.snapshot(), acc)
+    net.load_snapshot(best[0])
+    return net, history
+
+
 class TestTraining:
+    # seed 1 scores best after epoch 1, so train() restores that snapshot;
+    # seed 2 scores best after epoch 2 and keeps the final weights
+    @pytest.mark.parametrize("seed,restores", [(1, True), (2, False)])
+    def test_in_place_update_matches_fresh_array_loop(self, seed, restores):
+        rng = np.random.default_rng(seed)
+        images = rng.random((16, 1, 16, 16), dtype=np.float32)
+        labels = np.arange(16) % 3
+        data = (images[:12], labels[:12])
+        held_out = (images[12:], labels[12:])
+        cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=0.01, seed=seed)
+        net, history = train(small_config(seed=seed), *data, cfg, *held_out)
+        ref_net, ref_history = reference_train(small_config(seed=seed), *data, cfg, *held_out)
+        assert history == ref_history
+        assert (history[0]["eval_accuracy"] > history[1]["eval_accuracy"]) == restores
+        for a, b in zip(net.snapshot(), ref_net.snapshot()):
+            assert a.tobytes() == b.tobytes()
+
     def test_zero_learning_rate_leaves_parameters_unchanged(self):
         images, labels = small_dataset()
         cfg = TrainConfig(epochs=3, batch_size=4, learning_rate=0.0, seed=2)
