@@ -6,7 +6,7 @@ normalization, then a small from-scratch CNN. See the CLI (`wvdnet`) for the
 end-to-end commands.
 """
 
-from .analytic import ComplexSignal, analytic_signal, fft
+from .analytic import ComplexSignal, analytic_signal
 from .config import RunConfig, build_config, config_hash
 from .datasets import (
     ArrayStore,
@@ -16,8 +16,7 @@ from .datasets import (
     load_manifest,
     load_store,
     preprocess_dataset,
-    split_folds,
-    split_holdout,
+    split_indices,
 )
 from .errors import ConfigError, DataError
 from .evaluation import (
@@ -52,7 +51,6 @@ from .signal_core import (
 from .tfd import (
     LagWindow,
     TFDImage,
-    ambiguity_product,
     hamming_lag_window,
     image_from_csv,
     image_to_csv,

@@ -1,4 +1,4 @@
-"""FFT plumbing and the analytic-signal construction.
+"""Complex signals and the analytic-signal construction.
 
 The analytic signal keeps only non-negative frequencies, which is what lets
 the quadratic time-frequency transform cover [0, fs/2) without mirrored
@@ -34,18 +34,6 @@ class ComplexSignal:
     @property
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate_hz
-
-
-def fft(samples, inverse: bool = False) -> np.ndarray:
-    """Discrete Fourier transform, any length.
-
-    Forward: X[k] = sum_n x[n] exp(-2j pi k n / N). Inverse carries the 1/N
-    factor, so fft(fft(x), inverse=True) round-trips.
-    """
-    x = np.asarray(samples, dtype=np.complex128)
-    if x.size == 0:
-        raise ValueError("fft of an empty sequence")
-    return np.fft.ifft(x) if inverse else np.fft.fft(x)
 
 
 def analytic_signal(signal: Signal) -> ComplexSignal:

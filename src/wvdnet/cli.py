@@ -16,16 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, build_config, config_hash, parse_config_file
+from .config import VALUE_PARSERS, RunConfig, build_config, config_hash, parse_config_file
 from .datasets import (
     average_channels,
     decode_wav,
     is_store_current,
     load_manifest,
     load_store,
-    plain_holdout_indices,
     preprocess_dataset,
-    stratified_holdout_indices,
+    split_indices,
 )
 from .errors import ConfigError, DataError
 from .evaluation import (
@@ -43,27 +42,17 @@ from .synth import generate_dataset
 from .tfd import image_to_csv, image_to_png_bytes
 
 
-def _parse_bool(value: str) -> bool:
-    low = value.lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected true/false, got {value!r}")
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="flat key = value config file")
     for field in dataclasses.fields(RunConfig):
         flag = "--" + field.name.replace("_", "-")
         if flag == "--out-dir":
             flag = "--out"
-        kind = field.type
         parser.add_argument(
             flag,
             dest=field.name,
             default=None,
-            type=_parse_bool if "bool" in kind else float if "float" in kind else int if "int" in kind else str,
+            type=VALUE_PARSERS[field.type],
             help=f"override {field.name} (default {field.default})",
         )
 
@@ -76,21 +65,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if getattr(args, f.name, None) is not None
     }
     return build_config(file_values, overrides)
-
-
-def _split_indices(cfg: RunConfig, labels: np.ndarray, folds: np.ndarray):
-    if cfg.test_fold >= 1:
-        if (folds < 0).any():
-            raise DataError("fold split requested but the store carries no fold metadata")
-        if cfg.test_fold not in set(folds.tolist()):
-            raise DataError(
-                f"unknown fold {cfg.test_fold}; store has folds {sorted(set(folds.tolist()))}"
-            )
-        mask = folds == cfg.test_fold
-        return np.flatnonzero(~mask), np.flatnonzero(mask)
-    if cfg.stratified:
-        return stratified_holdout_indices(labels, cfg.holdout_fraction, cfg.seed)
-    return plain_holdout_indices(len(labels), cfg.holdout_fraction, cfg.seed)
 
 
 def _checkpoint_path(cfg: RunConfig, args: argparse.Namespace) -> Path:
@@ -131,7 +105,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     store = load_store(cfg.out_dir)
     if len(store) == 0:
         raise DataError(f"store at {cfg.out_dir} holds no clips")
-    train_idx, test_idx = _split_indices(cfg, store.labels, store.folds)
+    train_idx, test_idx = split_indices(store.labels, store.folds, cfg)
     if len(train_idx) == 0:
         raise DataError("training split is empty; adjust holdout_fraction or test_fold")
     rows, cols = store.images.shape[2], store.images.shape[3]
@@ -168,7 +142,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     store = load_store(cfg.out_dir)
     net, _ = load_checkpoint(_checkpoint_path(cfg, args).read_bytes())
-    train_idx, test_idx = _split_indices(cfg, store.labels, store.folds)
+    train_idx, test_idx = split_indices(store.labels, store.folds, cfg)
     subset = {"test": test_idx, "train": train_idx, "all": np.arange(len(store))}[args.split]
     if len(subset) == 0:
         raise DataError(f"selected split {args.split!r} is empty")

@@ -50,19 +50,18 @@ class RunConfig:
     vote_windows: int = 1  # 1 = windows scored independently
 
 
-def _coerce(key: str, raw: str, target_type):
-    raw = raw.strip()
-    try:
-        if target_type is bool:
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return target_type(raw)
-    except ValueError:
-        raise ConfigError(f"cannot parse {key} = {raw!r} as {target_type.__name__}") from None
+def boolean(raw: str) -> bool:
+    """Parse true/1/yes/on or false/0/no/off, in any case."""
+    low = raw.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"expected true/false, got {raw!r}")
+
+
+# RunConfig field annotation -> value parser, for config files and CLI flags
+VALUE_PARSERS = {"bool": boolean, "int": int, "float": float, "str": str}
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -85,15 +84,15 @@ def parse_config_file(path: str | Path) -> dict:
 def build_config(file_values: dict | None = None, overrides: dict | None = None) -> RunConfig:
     """Defaults, then config-file values, then CLI overrides."""
     fields = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    types = {
-        name: (bool if "bool" in t else float if "float" in t else int if "int" in t else str)
-        for name, t in ((n, str(t)) for n, t in fields.items())
-    }
     cfg = RunConfig()
     for key, raw in (file_values or {}).items():
         if key not in fields:
             raise ConfigError(f"unknown config key: {key}")
-        setattr(cfg, key, _coerce(key, raw, types[key]))
+        raw = raw.strip()
+        try:
+            setattr(cfg, key, VALUE_PARSERS[fields[key]](raw))
+        except ValueError:
+            raise ConfigError(f"cannot parse {key} = {raw!r} as {fields[key]}") from None
     for key, value in (overrides or {}).items():
         if value is None:
             continue

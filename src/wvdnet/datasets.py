@@ -15,17 +15,19 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
+import os
 import struct
 import wave
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, config_hash
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .ioutil import atomic_write_bytes, atomic_write_text
 from .pipeline import clip_to_image, working_rate_hz
 from .signal_core import Signal, average_channels
@@ -37,22 +39,62 @@ ESC50_NUM_CLASSES = 50
 # -- WAV codec ----------------------------------------------------------------
 
 
-def _iter_chunks(data: bytes):
-    if len(data) < 12:
+_SAMPLE_DTYPES = {(1, 16): "<i2", (3, 32): "<f4"}  # (format tag, bits) -> dtype
+
+
+def _walk_wav(handle, size: int):
+    """Walk the RIFF chunks of a WAVE stream of `size` bytes and check its
+    'fmt ' chunk. The 'data' payload is seeked past, never read.
+
+    Returns (dtype, channels, rate, data offset, frames).
+    """
+    head = handle.read(12)
+    if len(head) < 12:
         raise DataError("truncated RIFF header")
-    if data[0:4] != b"RIFF":
+    if head[0:4] != b"RIFF":
         raise DataError("not a RIFF file")
-    if data[8:12] != b"WAVE":
+    if head[8:12] != b"WAVE":
         raise DataError("RIFF file is not WAVE")
+    fmt = data = None
     offset = 12
-    while offset + 8 <= len(data):
-        tag = data[offset : offset + 4]
-        (size,) = struct.unpack_from("<I", data, offset + 4)
-        payload_end = offset + 8 + size
-        if payload_end > len(data):
+    while offset + 8 <= size:
+        handle.seek(offset)
+        tag, chunk_size = struct.unpack("<4sI", handle.read(8))
+        payload_end = offset + 8 + chunk_size
+        if payload_end > size:
             raise DataError(f"truncated {tag.decode('ascii', 'replace')!r} chunk")
-        yield tag, data[offset + 8 : payload_end]
-        offset = payload_end + (size & 1)  # chunks pad to even size
+        if tag == b"fmt " and fmt is None:
+            if chunk_size < 16:
+                raise DataError("'fmt ' chunk too short")
+            fmt = struct.unpack("<HHIIHH", handle.read(16))
+        elif tag == b"data" and data is None:
+            data = (offset + 8, chunk_size)
+        offset = payload_end + (chunk_size & 1)  # chunks pad to even size
+    if fmt is None:
+        raise DataError("missing 'fmt ' chunk")
+    if data is None:
+        raise DataError("missing 'data' chunk")
+    audio_format, channels, rate, _byte_rate, block_align, bits = fmt
+    if channels < 1:
+        raise DataError("'fmt ' chunk declares zero channels")
+    if rate <= 0:
+        raise DataError("'fmt ' chunk declares a non-positive sample rate")
+    if audio_format == 1 and bits != 16:
+        raise DataError(f"unsupported PCM bit depth {bits} in 'fmt ' chunk (16 only)")
+    if audio_format == 3 and bits != 32:
+        raise DataError(f"unsupported float bit depth {bits} in 'fmt ' chunk (32 only)")
+    if (audio_format, bits) not in _SAMPLE_DTYPES:
+        raise DataError(
+            f"unsupported audio format tag {audio_format} in 'fmt ' chunk "
+            "(PCM 16-bit and IEEE float 32-bit only)"
+        )
+    bytes_per_frame = channels * bits // 8
+    if block_align and block_align != bytes_per_frame:
+        raise DataError("'fmt ' chunk block alignment contradicts its sample layout")
+    frames = data[1] // bytes_per_frame
+    if frames == 0:
+        raise DataError("'data' chunk holds no complete frames")
+    return _SAMPLE_DTYPES[audio_format, bits], channels, rate, data[0], frames
 
 
 def decode_wav(data: bytes) -> list[Signal]:
@@ -61,46 +103,10 @@ def decode_wav(data: bytes) -> list[Signal]:
     Integer samples are scaled by 1/32768 so full negative scale maps to -1.
     Float samples must be finite: a NaN or infinity raises DataError.
     """
-    fmt = None
-    payload = None
-    for tag, chunk in _iter_chunks(data):
-        if tag == b"fmt " and fmt is None:
-            if len(chunk) < 16:
-                raise DataError("'fmt ' chunk too short")
-            fmt = struct.unpack_from("<HHIIHH", chunk, 0)
-        elif tag == b"data" and payload is None:
-            payload = chunk
-    if fmt is None:
-        raise DataError("missing 'fmt ' chunk")
-    if payload is None:
-        raise DataError("missing 'data' chunk")
-    audio_format, channels, rate, _byte_rate, block_align, bits = fmt
-    if channels < 1:
-        raise DataError("'fmt ' chunk declares zero channels")
-    if rate <= 0:
-        raise DataError("'fmt ' chunk declares a non-positive sample rate")
-    if audio_format == 1:
-        if bits != 16:
-            raise DataError(f"unsupported PCM bit depth {bits} in 'fmt ' chunk (16 only)")
-        dtype = "<i2"
-    elif audio_format == 3:
-        if bits != 32:
-            raise DataError(f"unsupported float bit depth {bits} in 'fmt ' chunk (32 only)")
-        dtype = "<f4"
-    else:
-        raise DataError(
-            f"unsupported audio format tag {audio_format} in 'fmt ' chunk "
-            "(PCM 16-bit and IEEE float 32-bit only)"
-        )
-    bytes_per_frame = channels * bits // 8
-    if block_align and block_align != bytes_per_frame:
-        raise DataError("'fmt ' chunk block alignment contradicts its sample layout")
-    frames = len(payload) // bytes_per_frame
-    if frames == 0:
-        raise DataError("'data' chunk holds no complete frames")
-    raw = np.frombuffer(payload[: frames * bytes_per_frame], dtype=dtype)
+    dtype, channels, rate, offset, frames = _walk_wav(io.BytesIO(data), len(data))
+    raw = np.frombuffer(data, dtype=dtype, count=frames * channels, offset=offset)
     raw = raw.reshape(frames, channels).astype(np.float64)
-    if audio_format == 1:
+    if dtype == "<i2":
         raw /= 32768.0
     elif not np.isfinite(raw).all():
         raise DataError("'data' chunk holds non-finite float samples")
@@ -118,35 +124,14 @@ def write_wav_pcm16(path: str | Path, samples: np.ndarray, rate_hz: float) -> No
 
 
 def probe_wav(path: str | Path):
-    """Cheap header probe: (rate_hz, channels, frames) without decoding audio."""
+    """Header probe: (rate_hz, channels, frames) without reading the audio.
+
+    Applies every check of `decode_wav` except the one that needs the
+    samples themselves (non-finite float values).
+    """
     with open(path, "rb") as handle:
-        head = handle.read(12)
-        if len(head) < 12 or head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
-            raise DataError(f"{path}: not a RIFF/WAVE file")
-        fmt = None
-        data_size = None
-        while True:
-            header = handle.read(8)
-            if len(header) < 8:
-                break
-            tag = header[0:4]
-            (size,) = struct.unpack("<I", header[4:8])
-            if tag == b"fmt ":
-                chunk = handle.read(min(size, 16))
-                if len(chunk) < 16:
-                    raise DataError(f"{path}: 'fmt ' chunk too short")
-                fmt = struct.unpack_from("<HHIIHH", chunk, 0)
-                handle.seek(size - len(chunk) + (size & 1), 1)
-            else:
-                if tag == b"data":
-                    data_size = size
-                handle.seek(size + (size & 1), 1)
-        if fmt is None or data_size is None:
-            raise DataError(f"{path}: missing 'fmt ' or 'data' chunk")
-        _, channels, rate, _, _, bits = fmt
-        if channels < 1 or rate <= 0 or bits % 8:
-            raise DataError(f"{path}: malformed 'fmt ' chunk")
-        return float(rate), channels, data_size // (channels * bits // 8)
+        _, channels, rate, _, frames = _walk_wav(handle, os.fstat(handle.fileno()).st_size)
+    return float(rate), channels, frames
 
 
 # -- manifests ----------------------------------------------------------------
@@ -289,52 +274,37 @@ def load_manifest(root: str | Path, source: str) -> DatasetManifest:
 # -- splits -------------------------------------------------------------------
 
 
-def stratified_holdout_indices(labels, train_fraction: float, seed: int):
-    """Seeded per-class partition of index positions into (train, test)."""
-    if not 0 < train_fraction < 1:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    labels = np.asarray(labels)
-    rng = np.random.default_rng(seed)
+def split_indices(labels, folds, cfg: RunConfig):
+    """Partition store positions into sorted (train, test) index arrays.
+
+    `cfg.test_fold` >= 1 leaves that fold out; `folds` holds -1 for clips
+    without fold metadata. Otherwise a `cfg.seed`-seeded shuffle keeps
+    `cfg.holdout_fraction` of the clips for training, per class when
+    `cfg.stratified`.
+    """
+    labels, folds = np.asarray(labels), np.asarray(folds)
+    if cfg.test_fold >= 1:
+        if (folds < 0).any():
+            raise DataError("fold split requested but the store carries no fold metadata")
+        present = sorted(set(folds.tolist()))
+        if cfg.test_fold not in present:
+            raise DataError(f"unknown fold {cfg.test_fold}; store has folds {present}")
+        mask = folds == cfg.test_fold
+        return np.flatnonzero(~mask), np.flatnonzero(mask)
+    if not 0 < cfg.holdout_fraction < 1:
+        raise ConfigError(f"holdout_fraction must be in (0, 1), got {cfg.holdout_fraction}")
+    if cfg.stratified:
+        groups = [np.flatnonzero(labels == c) for c in np.unique(labels)]
+    else:
+        groups = [np.arange(len(labels))]
+    rng = np.random.default_rng(cfg.seed)
     train_idx, test_idx = [], []
-    for cls in np.unique(labels):
-        members = np.flatnonzero(labels == cls)
+    for members in groups:
         shuffled = members[rng.permutation(len(members))]
-        n_test = round((1.0 - train_fraction) * len(members))
+        n_test = round((1.0 - cfg.holdout_fraction) * len(members))
         test_idx.extend(shuffled[:n_test])
         train_idx.extend(shuffled[n_test:])
     return np.sort(np.array(train_idx, dtype=int)), np.sort(np.array(test_idx, dtype=int))
-
-
-def plain_holdout_indices(n: int, train_fraction: float, seed: int):
-    """Unstratified seeded partition of range(n) into (train, test)."""
-    if not 0 < train_fraction < 1:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    shuffled = np.random.default_rng(seed).permutation(n)
-    n_test = round((1.0 - train_fraction) * n)
-    return np.sort(shuffled[n_test:]), np.sort(shuffled[:n_test])
-
-
-def split_holdout(manifest: DatasetManifest, fraction: float, seed: int, stratified: bool = True):
-    """Partition a manifest into (train, test); fraction is the train share."""
-    labels = [rec.label for rec in manifest.records]
-    if stratified:
-        train_idx, test_idx = stratified_holdout_indices(labels, fraction, seed)
-    else:
-        train_idx, test_idx = plain_holdout_indices(len(labels), fraction, seed)
-    pick = lambda idx: replace(manifest, records=tuple(manifest.records[i] for i in idx))
-    return pick(train_idx), pick(test_idx)
-
-
-def split_folds(manifest: DatasetManifest, test_fold: int):
-    """Leave-one-fold-out partition: (train = other folds, test = test_fold)."""
-    folds = {rec.fold for rec in manifest.records}
-    if None in folds:
-        raise ValueError("fold split requested but some records carry no fold metadata")
-    if test_fold not in folds:
-        raise ValueError(f"unknown fold {test_fold}; manifest has folds {sorted(folds)}")
-    train = tuple(r for r in manifest.records if r.fold != test_fold)
-    test = tuple(r for r in manifest.records if r.fold == test_fold)
-    return replace(manifest, records=train), replace(manifest, records=test)
 
 
 # -- batch preprocessing ------------------------------------------------------

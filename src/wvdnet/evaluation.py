@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .neuralnet import Network, predict
+from .neuralnet import Network, predict, predict_labels
 from .pipeline import clip_to_image
 from .signal_core import Signal
 
@@ -101,11 +101,7 @@ def evaluate(net: Network, images, labels, class_names) -> EvalReport:
     labels = np.asarray(labels, dtype=int)
     if len(images) == 0:
         raise ValueError("cannot evaluate on an empty test set")
-    preds = np.empty(len(images), dtype=int)
-    for start in range(0, len(images), 32):
-        logits = net.forward(images[start : start + 32], train=False)
-        preds[start : start + 32] = logits.argmax(axis=1)
-    return compute_report(labels, preds, class_names)
+    return compute_report(labels, predict_labels(net, images), class_names)
 
 
 def render_report(report: EvalReport) -> str:
@@ -160,10 +156,6 @@ class StreamPrediction:
     window_end_s: float
     label: int
     probabilities: np.ndarray
-
-
-def stream_window_count(duration_s: float, window_s: float, stride_s: float) -> int:
-    return int(np.floor((duration_s - window_s) / stride_s)) + 1
 
 
 def stream_infer(

@@ -1,16 +1,32 @@
-"""Atomic file writes: temp file in the target directory, then rename."""
+"""Atomic file writes: unique temp file in the target directory, fsync, rename.
+
+Each write creates its own randomly named temp file (exclusive create, so
+two writers never share one); the last rename wins and readers only ever
+see a whole file. The temp file is opened like any output file, so the
+result keeps the umask-derived permissions, which `tempfile.mkstemp`'s
+owner-only mode would not.
+"""
 
 from __future__ import annotations
 
 import os
+import secrets
 from pathlib import Path
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    handle = open(tmp, "xb")
+    try:
+        with handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink()
+        raise
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

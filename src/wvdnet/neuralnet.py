@@ -514,14 +514,19 @@ class TrainConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
 
 
-def accuracy(net: Network, images, labels, batch_size=32) -> float:
+def predict_labels(net: Network, images) -> np.ndarray:
+    """Eval-mode class index for each image, scored in batches of 32."""
+    labels = np.empty(len(images), dtype=int)
+    for start in range(0, len(images), 32):
+        logits = net.forward(images[start : start + 32], train=False)
+        labels[start : start + 32] = logits.argmax(axis=1)
+    return labels
+
+
+def accuracy(net: Network, images, labels) -> float:
     if len(images) == 0:
         raise ValueError("cannot score an empty evaluation set")
-    hits = 0
-    for start in range(0, len(images), batch_size):
-        logits = net.forward(images[start : start + batch_size], train=False)
-        hits += int((logits.argmax(axis=1) == labels[start : start + batch_size]).sum())
-    return hits / len(images)
+    return int((predict_labels(net, images) == labels).sum()) / len(images)
 
 
 def train(

@@ -130,13 +130,11 @@ def snap_decimation_rate(source_rate_hz: float, requested_rate_hz: float) -> flo
     return source_rate_hz / k_max
 
 
-def decimate(signal: Signal, target_rate_hz: float, snap_ratio: bool = False) -> Signal:
+def decimate(signal: Signal, target_rate_hz: float) -> Signal:
     """Low-pass filter then keep every k-th sample, k = source / target.
 
     The anti-alias cutoff is 0.45x the target Nyquist. Non-integer ratios are
-    rejected unless snap_ratio is set, in which case the target is first
-    snapped with snap_decimation_rate and the actual rate is carried on the
-    output.
+    rejected; snap_decimation_rate picks an integer-ratio target.
     """
     if target_rate_hz <= 0:
         raise ValueError(f"target_rate_hz must be positive, got {target_rate_hz}")
@@ -147,8 +145,6 @@ def decimate(signal: Signal, target_rate_hz: float, snap_ratio: bool = False) ->
             f"upsampling requested ({signal.sample_rate_hz} Hz -> {target_rate_hz} Hz); "
             "decimate only reduces the rate"
         )
-    if snap_ratio:
-        target_rate_hz = snap_decimation_rate(signal.sample_rate_hz, target_rate_hz)
     ratio = signal.sample_rate_hz / target_rate_hz
     k = round(ratio)
     if abs(ratio - k) > 1e-9 * max(1.0, ratio):

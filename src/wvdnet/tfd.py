@@ -114,15 +114,6 @@ def default_lag_window_length(num_samples: int) -> int:
     return max(1, min(127, cap))
 
 
-def ambiguity_product(x: ComplexSignal, n: int, m: int) -> complex:
-    """Lag product x[n+m] * conj(x[n-m]); zero when either index is outside."""
-    i, j = n + m, n - m
-    size = len(x)
-    if i < 0 or i >= size or j < 0 or j >= size:
-        return 0j
-    return complex(x.samples[i] * np.conj(x.samples[j]))
-
-
 def _lag_kernel(x: ComplexSignal, window: LagWindow, rows: np.ndarray) -> np.ndarray:
     """Windowed lag products for each output row, columns ordered m = -L..L."""
     half = window.half_length

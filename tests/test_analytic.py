@@ -1,46 +1,8 @@
 import numpy as np
 import pytest
 
-from wvdnet.analytic import ComplexSignal, analytic_signal, fft
+from wvdnet.analytic import ComplexSignal, analytic_signal
 from wvdnet.signal_core import Signal
-
-
-def direct_dft(x):
-    """O(N^2) reference transform."""
-    x = np.asarray(x, dtype=np.complex128)
-    n = len(x)
-    k = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(k, k) / n) @ x
-
-
-class TestFft:
-    def test_impulse(self):
-        np.testing.assert_allclose(fft([1, 0, 0, 0]), np.ones(4), atol=1e-12)
-
-    def test_dc(self):
-        np.testing.assert_allclose(fft([1, 1, 1, 1]), [4, 0, 0, 0], atol=1e-12)
-
-    def test_prime_length_matches_direct_dft(self):
-        rng = np.random.default_rng(17)
-        x = rng.standard_normal(17) + 1j * rng.standard_normal(17)
-        np.testing.assert_allclose(fft(x), direct_dft(x), atol=1e-9)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(17)
-        x = rng.standard_normal(17) + 1j * rng.standard_normal(17)
-        back = fft(fft(x), inverse=True)
-        assert np.abs(back - x).max() < 1e-9
-
-    def test_parseval(self):
-        for n in (16, 100, 257):
-            x = np.random.default_rng(n).standard_normal(n)
-            spectral = np.sum(np.abs(fft(x)) ** 2)
-            temporal = np.sum(np.abs(x) ** 2)
-            assert abs(spectral - n * temporal) < 1e-9 * spectral
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            fft([])
 
 
 class TestAnalyticSignal:

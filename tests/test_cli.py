@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from wvdnet.cli import main
+from wvdnet.cli import _config_from_args, build_parser, main
+from wvdnet.config import RunConfig
 from wvdnet.datasets import write_wav_pcm16
 from wvdnet.tfd import image_from_csv
 
@@ -262,3 +263,37 @@ class TestConfigFile:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("epochs 5\n")
         assert main(["synth", "--config", str(cfg_file)]) == 1
+
+
+class TestBoolValues:
+    BOOL_FIELDS = ("log_compress", "stratified")
+
+    def config_from_file(self, tmp_path, word):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("".join(f"{key} = {word}\n" for key in self.BOOL_FIELDS))
+        return _config_from_args(build_parser().parse_args(["synth", "--config", str(cfg_file)]))
+
+    def config_from_flags(self, word):
+        flags = [arg for key in self.BOOL_FIELDS for arg in ("--" + key.replace("_", "-"), word)]
+        return _config_from_args(build_parser().parse_args(["synth"] + flags))
+
+    @pytest.mark.parametrize(
+        "word,value",
+        [("TRUE", True), ("1", True), ("Yes", True), ("oN", True),
+         ("False", False), ("0", False), ("nO", False), ("OFF", False)],
+    )
+    def test_file_and_flag_agree(self, tmp_path, word, value):
+        expected = RunConfig(log_compress=value, stratified=value)
+        assert self.config_from_file(tmp_path, word) == expected
+        assert self.config_from_flags(word) == expected
+
+    def test_bad_value_exits_1_from_flag(self, capsys):
+        assert main(["synth", "--log-compress", "maybe"]) == 1
+        assert "'maybe'" in capsys.readouterr().err
+
+    def test_bad_value_exits_1_from_file(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("log_compress = maybe\n")
+        assert main(["synth", "--config", str(cfg_file), "--out", str(tmp_path / "d")]) == 1
+        assert "cannot parse log_compress = 'maybe' as bool" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()

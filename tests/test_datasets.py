@@ -1,26 +1,23 @@
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wvdnet.config import build_config
+from wvdnet.config import RunConfig, build_config
 from wvdnet.datasets import (
-    ClipRecord,
     DatasetManifest,
     decode_wav,
     is_store_current,
     load_manifest,
     load_store,
-    plain_holdout_indices,
     preprocess_dataset,
     probe_wav,
-    split_folds,
-    split_holdout,
-    stratified_holdout_indices,
+    split_indices,
     write_wav_pcm16,
 )
-from wvdnet.errors import DataError
+from wvdnet.errors import ConfigError, DataError
 
 
 def wav_bytes(payload, fmt_tag=1, channels=1, rate=8000, bits=16, chunks_before_data=()):
@@ -119,6 +116,30 @@ class TestDecodeWav:
         np.testing.assert_allclose(back[0].samples, samples, atol=1.6 / 32768)
         rate, channels, frames = probe_wav(path)
         assert (rate, channels, frames) == (4000.0, 1, 50)
+
+
+# Headers that decode_wav rejects: the probe must reject each one too, with
+# the same message, and the manifest must then leave the duration unknown.
+REJECTED_HEADERS = {
+    "pcm24": wav_bytes(b"\x00" * 6, bits=24),
+    "format-tag-2": wav_bytes(pcm16(1, 2), fmt_tag=2),
+    "data-overruns-file": wav_bytes(pcm16(1, 2, 3))[:-2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_HEADERS))
+def test_probe_rejects_what_decode_rejects(tmp_path, name):
+    blob = REJECTED_HEADERS[name]
+    path = tmp_path / "cls" / "clip.wav"
+    path.parent.mkdir()
+    path.write_bytes(blob)
+    with pytest.raises(DataError) as decoded:
+        decode_wav(blob)
+    with pytest.raises(DataError) as probed:
+        probe_wav(path)
+    assert str(probed.value) == str(decoded.value)
+    (record,) = load_manifest(tmp_path, "folder_per_class").records
+    assert record.duration_s is None
 
 
 def make_folder_dataset(root, spec, rate=4000.0, seconds=0.5, seed=0):
@@ -244,75 +265,75 @@ class TestEsc50Manifest:
             load_manifest(tmp_path, "esc50")
 
 
-def toy_manifest(per_class=10, classes=3, with_folds=False):
-    records = []
-    for c in range(classes):
-        for i in range(per_class):
-            records.append(
-                ClipRecord(
-                    path=f"/data/c{c}/clip{i:02d}.wav",
-                    label=c,
-                    class_name=f"class{c}",
-                    fold=(i % 5) + 1 if with_folds else None,
-                    duration_s=4.0,
-                )
-            )
-    return DatasetManifest(tuple(records), tuple(f"class{c}" for c in range(classes)), "folder_per_class")
+def toy_labels(per_class=10, classes=3, with_folds=False):
+    """Class-major labels; folds cycle 1..5 within each class, or -1 when absent."""
+    labels = np.repeat(np.arange(classes), per_class)
+    if not with_folds:
+        return labels, np.full(len(labels), -1)
+    return labels, np.tile(np.arange(per_class) % 5 + 1, classes)
+
+
+def split(labels, folds, **settings):
+    return split_indices(labels, folds, replace(RunConfig(), **settings))
 
 
 class TestSplits:
     def test_stratified_counts(self):
-        train, test = split_holdout(toy_manifest(10, 3), 0.8, seed=1)
+        labels, folds = toy_labels(10, 3)
+        train, test = split(labels, folds, seed=1)
         assert len(train) == 24 and len(test) == 6
         for c in range(3):
-            assert sum(1 for r in test.records if r.label == c) == 2
+            assert (labels[test] == c).sum() == 2
 
     def test_same_seed_same_split(self):
-        m = toy_manifest()
-        a = split_holdout(m, 0.8, seed=5)
-        b = split_holdout(m, 0.8, seed=5)
-        assert [r.path for r in a[0].records] == [r.path for r in b[0].records]
-        assert [r.path for r in a[1].records] == [r.path for r in b[1].records]
+        a = split(*toy_labels(), seed=5)
+        b = split(*toy_labels(), seed=5)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_different_seed_changes_split(self):
-        m = toy_manifest()
-        a = split_holdout(m, 0.8, seed=5)[1]
-        b = split_holdout(m, 0.8, seed=6)[1]
-        assert [r.path for r in a.records] != [r.path for r in b.records]
+        a = split(*toy_labels(), seed=5)[1]
+        b = split(*toy_labels(), seed=6)[1]
+        assert a.tolist() != b.tolist()
+
+    def test_pinned_indices(self):
+        # a recorded split must keep selecting the same clips
+        labels, folds = toy_labels(4, 3)
+        train, test = split(labels, folds, holdout_fraction=0.5, seed=11)
+        assert (train.tolist(), test.tolist()) == ([0, 2, 4, 6, 8, 11], [1, 3, 5, 7, 9, 10])
+        train, test = split(labels, folds, holdout_fraction=0.5, seed=11, stratified=False)
+        assert (train.tolist(), test.tolist()) == ([0, 3, 4, 5, 7, 11], [1, 2, 6, 8, 9, 10])
 
     def test_partition_property(self):
-        m = toy_manifest(7, 4)
-        train, test = split_holdout(m, 0.8, seed=2)
-        train_paths = {r.path for r in train.records}
-        test_paths = {r.path for r in test.records}
-        assert train_paths.isdisjoint(test_paths)
-        assert train_paths | test_paths == {r.path for r in m.records}
+        labels, folds = toy_labels(7, 4)
+        train, test = split(labels, folds, seed=2)
+        assert set(train).isdisjoint(test)
+        assert sorted(np.concatenate([train, test])) == list(range(len(labels)))
 
     def test_unstratified_variant(self):
-        m = toy_manifest(10, 2)
-        train, test = split_holdout(m, 0.8, seed=3, stratified=False)
+        train, test = split(*toy_labels(10, 2), seed=3, stratified=False)
         assert len(train) == 16 and len(test) == 4
 
     def test_bad_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            stratified_holdout_indices([0, 1], 1.0, 0)
-        with pytest.raises(ValueError):
-            plain_holdout_indices(4, 0.0, 0)
+        for fraction in (0.0, 1.0):
+            for stratified in (True, False):
+                with pytest.raises(ConfigError, match="holdout_fraction"):
+                    split(*toy_labels(), holdout_fraction=fraction, stratified=stratified)
 
     def test_fold_split_partition(self):
-        m = toy_manifest(10, 2, with_folds=True)
-        train, test = split_folds(m, 3)
-        assert all(r.fold == 3 for r in test.records)
-        assert all(r.fold != 3 for r in train.records)
-        assert len(train) + len(test) == len(m)
+        labels, folds = toy_labels(10, 2, with_folds=True)
+        train, test = split(labels, folds, test_fold=3)
+        assert (folds[test] == 3).all() and len(test) == 4
+        assert (folds[train] != 3).all()
+        assert len(train) + len(test) == len(labels)
 
     def test_unknown_fold_rejected(self):
-        with pytest.raises(ValueError, match="unknown fold"):
-            split_folds(toy_manifest(with_folds=True), 9)
+        with pytest.raises(DataError, match="unknown fold"):
+            split(*toy_labels(with_folds=True), test_fold=9)
 
     def test_missing_fold_metadata_rejected(self):
-        with pytest.raises(ValueError, match="no fold metadata"):
-            split_folds(toy_manifest(with_folds=False), 1)
+        with pytest.raises(DataError, match="no fold metadata"):
+            split(*toy_labels(with_folds=False), test_fold=1)
 
 
 class TestPreprocess:

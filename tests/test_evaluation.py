@@ -10,7 +10,6 @@ from wvdnet.evaluation import (
     report_to_json,
     stream_infer,
     stream_to_csv,
-    stream_window_count,
     StreamPrediction,
 )
 from wvdnet.neuralnet import Network, reference_config
@@ -132,14 +131,6 @@ class TestEvaluate:
 
 
 class TestStreamWindows:
-    def test_window_count_formula(self):
-        assert stream_window_count(4.0, 4.0, 1.0) == 1
-        assert stream_window_count(10.0, 4.0, 1.0) == 7
-        for duration in (4.0, 5.5, 9.0, 30.0):
-            for stride in (0.5, 1.0, 2.0):
-                count = stream_window_count(duration, 4.0, stride)
-                assert count == int(np.floor((duration - 4.0) / stride)) + 1
-
     def small_cfg(self):
         return build_config(
             {},

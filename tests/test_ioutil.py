@@ -1,0 +1,36 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
+from wvdnet.ioutil import atomic_write_bytes
+
+
+def test_two_writers_to_one_path_leave_one_whole_payload(tmp_path):
+    target = tmp_path / "shared.bin"
+    payloads = [bytes([i]) * (1 << 20) for i in (1, 2)]
+
+    def write_many(payload):
+        for _ in range(20):
+            atomic_write_bytes(target, payload)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(write_many, p) for p in payloads]
+            for future in futures:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert target.read_bytes() in payloads
+    assert [p.name for p in tmp_path.iterdir()] == ["shared.bin"]
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(OSError):
+        atomic_write_bytes(target, b"payload")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert list(target.iterdir()) == []

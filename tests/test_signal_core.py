@@ -101,7 +101,7 @@ class TestDecimate:
 
     def test_out_of_band_tone_attenuated(self):
         sig = tone(2500.0, 44100.0)
-        out = decimate(sig, 4000.0, snap_ratio=True)
+        out = decimate(sig, snap_decimation_rate(44100.0, 4000.0))
         assert out.sample_rate_hz == 4410.0
         ratio = np.sum(out.samples**2) / np.sum(sig.samples**2)
         assert ratio < 0.05

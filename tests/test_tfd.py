@@ -7,7 +7,6 @@ from wvdnet.signal_core import Signal
 from wvdnet.tfd import (
     LagWindow,
     TFDImage,
-    ambiguity_product,
     default_lag_window_length,
     hamming_lag_window,
     normalize_image,
@@ -45,28 +44,6 @@ class TestLagWindows:
         assert default_lag_window_length(16000) == 127
         assert default_lag_window_length(400) == 99  # largest odd <= 100
         assert default_lag_window_length(8) == 1
-
-
-class TestAmbiguityProduct:
-    def test_zero_lag_is_power(self):
-        x = ComplexSignal(np.array([1 + 2j, 3 - 1j]), 100.0)
-        assert ambiguity_product(x, 1, 0) == pytest.approx(abs(3 - 1j) ** 2)
-
-    def test_constant_signal(self):
-        x = ComplexSignal(np.ones(8, dtype=complex), 100.0)
-        assert ambiguity_product(x, 4, 2) == pytest.approx(1 + 0j)
-
-    def test_pure_phase_is_time_invariant(self):
-        theta = 0.37
-        samples = np.exp(1j * theta * np.arange(32))
-        x = ComplexSignal(samples, 100.0)
-        for n in (10, 15, 20):
-            assert ambiguity_product(x, n, 3) == pytest.approx(np.exp(1j * 2 * theta * 3))
-
-    def test_out_of_range_reads_zero(self):
-        x = ComplexSignal(np.ones(4, dtype=complex), 100.0)
-        assert ambiguity_product(x, 0, 2) == 0j
-        assert ambiguity_product(x, 3, 2) == 0j
 
 
 class TestPseudoWvd:

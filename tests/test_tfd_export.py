@@ -1,5 +1,7 @@
 import base64
 import io
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -56,6 +58,49 @@ class TestPngExport:
         Image = pytest.importorskip("PIL.Image")
         pixels = np.asarray(Image.open(io.BytesIO(image_to_png_bytes(img))))
         assert pixels[0].tolist() == [255, 0]
+
+
+def decode_png_gray8(blob):
+    """Stdlib PNG reader for what the exporter writes, checking as it goes:
+    signature, every chunk CRC, an IHDR for 8-bit grayscale without
+    interlace, IEND last, and filter type 0 on every scanline."""
+    assert blob[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, pos = [], 8
+    while pos < len(blob):
+        (length,) = struct.unpack_from(">I", blob, pos)
+        tag, payload = blob[pos + 4 : pos + 8], blob[pos + 8 : pos + 8 + length]
+        (crc,) = struct.unpack_from(">I", blob, pos + 8 + length)
+        assert crc == zlib.crc32(tag + payload), f"bad CRC on {tag!r}"
+        chunks.append((tag, payload))
+        pos += 12 + length
+    assert pos == len(blob)
+    assert chunks[0][0] == b"IHDR" and chunks[-1] == (b"IEND", b"")
+    width, height, depth, color, compression, filtering, interlace = struct.unpack(
+        ">IIBBBBB", chunks[0][1]
+    )
+    assert (depth, color, compression, filtering, interlace) == (8, 0, 0, 0, 0)
+    raw = zlib.decompress(b"".join(payload for tag, payload in chunks if tag == b"IDAT"))
+    scanlines = np.frombuffer(raw, dtype=np.uint8).reshape(height, 1 + width)
+    assert (scanlines[:, 0] == 0).all()
+    return scanlines[:, 1:]
+
+
+class TestPngStdlibOracle:
+    def test_decodes_as_expected_grayscale(self):
+        pixels = decode_png_gray8(image_to_png_bytes(GOLDEN_IMAGE))
+        assert pixels.shape == (2, 3)  # (height, width)
+        np.testing.assert_array_equal(pixels, np.round(GOLDEN_IMAGE.values * 255.0))
+
+    def test_row_zero_is_top_row(self):
+        two_rows = TFDImage(
+            np.array([[1.0, 1.0], [0.0, 0.0]]), [0.0, 1.0], [0.0, 1.0], 100.0, "wvd"
+        )
+        pixels = decode_png_gray8(image_to_png_bytes(two_rows))
+        assert pixels.tolist() == [[255, 255], [0, 0]]  # earliest time on top
+
+    def test_values_outside_unit_range_clip(self):
+        img = TFDImage(np.array([[2.0, -1.0], [0.0, 1.0]]), [0.0, 1.0], [0.0, 1.0], 100.0, "wvd")
+        assert decode_png_gray8(image_to_png_bytes(img))[0].tolist() == [255, 0]
 
 
 class TestCsvExport:
