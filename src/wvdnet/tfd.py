@@ -8,8 +8,10 @@ transforms it over m:
 
 with F frequency bins. Because the lag step is two signal samples, bin k
 corresponds to k * rate / (2F) Hz, covering [0, rate/2) for analytic input.
-The lag kernel is conjugate-symmetric in m, so the sum is real up to
-round-off; values are kept signed until normalize_image.
+The lag kernel is conjugate-symmetric in m (K[-m] = conj K[m]), so only the
+lags m >= 0 are built: they fold into the Hermitian half spectrum of each
+row, whose real DFT np.fft.hfft returns. Values are kept signed until
+normalize_image.
 
 Images are stored rows = time, columns = frequency, frequency increasing with
 column index. PNG/CSV export formats are pinned by golden tests.
@@ -22,6 +24,7 @@ import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .analytic import ComplexSignal
 
@@ -114,18 +117,6 @@ def default_lag_window_length(num_samples: int) -> int:
     return max(1, min(127, cap))
 
 
-def _lag_kernel(x: ComplexSignal, window: LagWindow, rows: np.ndarray) -> np.ndarray:
-    """Windowed lag products for each output row, columns ordered m = -L..L."""
-    half = window.half_length
-    padded = np.concatenate(
-        [np.zeros(half, dtype=np.complex128), x.samples, np.zeros(half, dtype=np.complex128)]
-    )
-    m = np.arange(-half, half + 1)
-    plus = padded[rows[:, None] + m[None, :] + half]
-    minus = padded[rows[:, None] - m[None, :] + half]
-    return window.coefficients[None, :] * plus * np.conj(minus)
-
-
 def pseudo_wvd(
     x: ComplexSignal,
     window: LagWindow,
@@ -139,6 +130,11 @@ def pseudo_wvd(
     is k * rate / (2 * n_freq_bins) Hz. Lags beyond the signal ends read as
     zero. Lag offsets alias modulo n_freq_bins, which matches the defining
     sum exactly, so the window may extend up to 2 * n_freq_bins - 1 taps.
+
+    Builds K[n, m] = h[m] x[n+m] conj(x[n-m]) for m = 0..L only and folds it
+    into the half spectrum A[j] = K[j] + conj(K[F-j]), j = 0..F//2, where a
+    term is present only for a lag within the window (the second only when
+    L >= ceil(F/2)). The folded row is Hermitian, so hfft(A) is its real DFT.
     """
     if len(x) == 0:
         raise ValueError("cannot transform an empty signal")
@@ -150,24 +146,30 @@ def pseudo_wvd(
         raise ValueError(
             f"lag window length {len(window)} exceeds 2 * n_freq_bins - 1 = {2 * n_freq_bins - 1}"
         )
-    rows = np.arange(0, len(x), time_stride)
-    kernel = _lag_kernel(x, window, rows)
-
-    # Fold lag columns onto their residues mod n_freq_bins, then rotate so
-    # residue 0 holds m = 0: the FFT over that buffer equals the defining sum.
+    length = len(x)
     half = window.half_length
-    width = len(window)
-    blocks = -(-width // n_freq_bins)
-    padded = np.zeros((len(rows), blocks * n_freq_bins), dtype=np.complex128)
-    padded[:, :width] = kernel
-    folded = padded.reshape(len(rows), blocks, n_freq_bins).sum(axis=1)
-    folded = np.roll(folded, (-half) % n_freq_bins, axis=1)
+    rows = np.arange(0, length, time_stride)
+    padded = np.pad(x.samples, half)
+    # Row i of a window view holds padded[i .. i+half], so row n + half is
+    # x[n .. n+half] and row n read backwards is x[n], x[n-1], .., x[n-half].
+    forward = sliding_window_view(padded, half + 1)[half::time_stride]
+    backward = sliding_window_view(np.conj(padded), half + 1)[:length:time_stride, ::-1]
 
-    values = 2.0 * np.fft.fft(folded, axis=1).real
+    half_bins = n_freq_bins // 2 + 1
+    spectrum = np.zeros((len(rows), max(half + 1, half_bins)), dtype=np.complex128)
+    kernel = spectrum[:, : half + 1]
+    np.multiply(window.coefficients[half:], forward, out=kernel)
+    kernel *= backward
+    # Negative lags -m with m >= ceil(F/2) alias onto bin F - m <= F//2;
+    # both slices are empty when the window is shorter than that.
+    first_alias = -(-n_freq_bins // 2)
+    aliased = spectrum[:, first_alias : half + 1][:, ::-1]
+    spectrum[:, n_freq_bins - half : half_bins] += np.conj(aliased)
+
+    values = 2.0 * np.fft.hfft(spectrum[:, :half_bins], n=n_freq_bins, axis=1)
     rate = x.sample_rate_hz
-    time_axis = rows / rate
     freq_axis = np.arange(n_freq_bins) * rate / (2.0 * n_freq_bins)
-    return TFDImage(values, time_axis, freq_axis, rate, kind)
+    return TFDImage(values, rows / rate, freq_axis, rate, kind)
 
 
 def wvd(x: ComplexSignal, time_stride: int = 1, n_freq_bins: int | None = None) -> TFDImage:

@@ -1,7 +1,10 @@
-"""Shared test helpers: finite-difference gradients and a direct (non-FFT)
-evaluation of the quadratic time-frequency sum used as the independent oracle."""
+"""Shared test helpers: finite-difference gradients, a direct (non-FFT)
+evaluation of the quadratic time-frequency sum used as the independent oracle,
+and the earlier full-lag form of pseudo_wvd kept as a reference."""
 
 import numpy as np
+
+from wvdnet.tfd import TFDImage
 
 
 def numeric_gradient(loss_fn, array, h=1e-6):
@@ -60,3 +63,31 @@ def direct_quadratic_tfd(samples, window_coeffs, time_stride, n_freq_bins):
                 products[mi] = window_coeffs[mi] * samples[i] * np.conj(samples[j])
         out[ri] = 2.0 * (exp_matrix @ products).real
     return out
+
+
+def reference_pseudo_wvd(x, window, time_stride, n_freq_bins):
+    """The pad/fold/roll form of pseudo_wvd: lags m = -L..L are gathered with
+    fancy indexing, padded to a multiple of n_freq_bins, summed onto their
+    residues, rolled so residue 0 holds m = 0, and sent through a full
+    complex FFT."""
+    half = window.half_length
+    padded = np.concatenate(
+        [np.zeros(half, dtype=np.complex128), x.samples, np.zeros(half, dtype=np.complex128)]
+    )
+    rows = np.arange(0, len(x), time_stride)
+    m = np.arange(-half, half + 1)
+    plus = padded[rows[:, None] + m[None, :] + half]
+    minus = padded[rows[:, None] - m[None, :] + half]
+    kernel = window.coefficients[None, :] * plus * np.conj(minus)
+
+    width = len(window)
+    blocks = -(-width // n_freq_bins)
+    wide = np.zeros((len(rows), blocks * n_freq_bins), dtype=np.complex128)
+    wide[:, :width] = kernel
+    folded = wide.reshape(len(rows), blocks, n_freq_bins).sum(axis=1)
+    folded = np.roll(folded, (-half) % n_freq_bins, axis=1)
+
+    values = 2.0 * np.fft.fft(folded, axis=1).real
+    rate = x.sample_rate_hz
+    freq_axis = np.arange(n_freq_bins) * rate / (2.0 * n_freq_bins)
+    return TFDImage(values, rows / rate, freq_axis, rate, "pseudo_wvd")

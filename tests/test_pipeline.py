@@ -1,8 +1,11 @@
 import numpy as np
+import pytest
+from conftest import reference_pseudo_wvd
 
+from wvdnet import pipeline
 from wvdnet.config import build_config
 from wvdnet.pipeline import auto_time_stride, clip_to_image, working_rate_hz
-from wvdnet.signal_core import Signal
+from wvdnet.signal_core import Signal, design_lowpass
 
 
 def cfg_with(**overrides):
@@ -17,6 +20,16 @@ def cfg_with(**overrides):
 def tone(freq_hz, rate_hz, seconds):
     t = np.arange(round(seconds * rate_hz)) / rate_hz
     return Signal(0.5 * np.sin(2 * np.pi * freq_hz * t), rate_hz)
+
+
+def reference_decimate(signal, target_rate_hz):
+    """The full-rate form of decimate: np.convolve 'same' over every input
+    sample, then keep every k-th. Matches decimate only for inputs at least
+    as long as the 63-tap filter."""
+    k = round(signal.sample_rate_hz / target_rate_hz)
+    taps = design_lowpass(0.45 * target_rate_hz / 2.0, signal.sample_rate_hz, 63).taps
+    filtered = np.convolve(signal.samples, taps, mode="same")
+    return Signal(filtered[::k], target_rate_hz)
 
 
 class TestWorkingRate:
@@ -85,6 +98,22 @@ class TestClipToImage:
         cfg = cfg_with(lag_window_len=1001)
         image = clip_to_image(tone(500.0, 4000.0, 0.5), cfg)
         assert image.values.shape == (24, 24)
+
+    @pytest.mark.parametrize("rate", [44100.0, 22050.0, 8000.0, 4000.0])
+    def test_matches_full_rate_reference_chain(self, rate, monkeypatch):
+        rng = np.random.default_rng(int(rate))
+        t = np.arange(round(4.0 * rate)) / rate
+        samples = 0.3 * np.sin(2 * np.pi * 700.0 * t) + 0.1 * rng.standard_normal(len(t))
+        signal = Signal(samples, rate)
+        cfg = build_config({}, {})
+        fast = clip_to_image(signal, cfg)
+        monkeypatch.setattr(pipeline, "decimate", reference_decimate)
+        monkeypatch.setattr(pipeline, "pseudo_wvd", reference_pseudo_wvd)
+        slow = clip_to_image(signal, cfg)
+        assert fast.source_rate_hz == slow.source_rate_hz
+        np.testing.assert_array_equal(fast.time_axis_s, slow.time_axis_s)
+        np.testing.assert_array_equal(fast.freq_axis_hz, slow.freq_axis_hz)
+        np.testing.assert_allclose(fast.values, slow.values, rtol=0, atol=1e-12)
 
     def test_deterministic(self):
         a = clip_to_image(tone(500.0, 4000.0, 0.5), cfg_with())

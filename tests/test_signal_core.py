@@ -11,6 +11,21 @@ from wvdnet.signal_core import (
 )
 
 
+def direct_decimate(samples, taps, k):
+    """Per-output direct sum of the delay-compensated filter at the kept
+    samples 0, k, 2k, ..., with samples outside the input read as zero."""
+    delay = len(taps) // 2
+    out = []
+    for i in range(0, len(samples), k):
+        acc = 0.0
+        for j, tap in enumerate(taps):
+            src = i + delay - j
+            if 0 <= src < len(samples):
+                acc += tap * samples[src]
+        out.append(acc)
+    return np.array(out)
+
+
 def tone(freq_hz, rate_hz, seconds=1.0, amp=1.0):
     t = np.arange(round(seconds * rate_hz)) / rate_hz
     return Signal(amp * np.sin(2 * np.pi * freq_hz * t), rate_hz)
@@ -110,6 +125,16 @@ class TestDecimate:
         sig = Signal(np.ones(101), 1000.0)
         out = decimate(sig, 100.0)
         assert len(out) == 11  # ceil(101 / 10)
+
+    @pytest.mark.parametrize("n", [1, 20, 62, 63, 64])
+    def test_matches_direct_sum_at_any_length(self, n):
+        # shorter than the 63-tap filter too: ceil(n / 10) samples, aligned
+        samples = np.random.default_rng(n).standard_normal(n)
+        out = decimate(Signal(samples, 44100.0), 4410.0)
+        taps = design_lowpass(0.45 * 4410.0 / 2.0, 44100.0, 63).taps
+        expected = direct_decimate(samples, taps, 10)
+        assert len(out) == len(expected) == -(-n // 10)
+        np.testing.assert_allclose(out.samples, expected, rtol=0, atol=1e-12)
 
     def test_non_integer_ratio_rejected(self):
         with pytest.raises(ValueError, match="pre-resample"):

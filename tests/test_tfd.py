@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import direct_quadratic_tfd
+from conftest import direct_quadratic_tfd, reference_pseudo_wvd
 
 from wvdnet.analytic import ComplexSignal, analytic_signal
 from wvdnet.signal_core import Signal
@@ -71,6 +71,34 @@ class TestPseudoWvd:
         fast = pseudo_wvd(x, win, 3, 32).values
         slow = direct_quadratic_tfd(samples, win.coefficients, 3, 32)
         assert np.abs(fast - slow).max() < 1e-9 * np.abs(slow).max()
+
+    @pytest.mark.parametrize(
+        "n, window_len, stride, bins",
+        [
+            (96, 21, 5, 48),  # even bins
+            (96, 21, 5, 47),  # odd bins
+            (80, 33, 3, 32),  # L = F//2: the Nyquist bin takes both +m and -m
+            (80, 33, 3, 33),  # L = F//2, odd bins: no lag reaches the alias range
+            (48, 63, 3, 32),  # L = F - 1: lags alias modulo F
+            (48, 41, 2, 33),  # L >= ceil(F/2), odd bins
+            (30, 13, 1, 7),  # L = F - 1, odd bins
+            (64, 1, 4, 16),  # window length 1
+            (20, 9, 50, 16),  # stride beyond the signal: one row
+            (1, 7, 1, 8),  # one sample
+            (17640, 127, 15, 512),  # the paper geometry
+        ],
+    )
+    def test_matches_full_lag_reference(self, n, window_len, stride, bins):
+        rng = np.random.default_rng(n + window_len + bins)
+        samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = ComplexSignal(samples, 4410.0)
+        win = hamming_lag_window(window_len)
+        fast = pseudo_wvd(x, win, stride, bins)
+        slow = reference_pseudo_wvd(x, win, stride, bins)
+        assert fast.shape == slow.shape
+        np.testing.assert_array_equal(fast.time_axis_s, slow.time_axis_s)
+        np.testing.assert_array_equal(fast.freq_axis_hz, slow.freq_axis_hz)
+        assert np.abs(fast.values - slow.values).max() <= 1e-12 * np.abs(slow.values).max()
 
     def test_sum_is_real_up_to_roundoff(self):
         rng = np.random.default_rng(9)
