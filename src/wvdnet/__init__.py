@@ -59,7 +59,6 @@ from .tfd import (
     pseudo_wvd,
     rectangular_lag_window,
     resize_bilinear,
-    spectrogram,
     wvd,
     wvd_time_marginal,
 )

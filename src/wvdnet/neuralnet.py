@@ -11,16 +11,26 @@ followed by relu and 2x2 max-pooling), then flatten, dropout, a 500-unit
 hidden layer with relu and dropout, and the class logits. On a 1x300x300
 input the flatten width is 87,616.
 
-A training step keeps no batch-sized scratch beyond the activations
-themselves: Conv2d caches its padded input and builds im2col columns one
-sample at a time; the SGD update scales the gradient, the velocity and the
-weights in place. Network runs a ReLU that directly precedes a MaxPool2d
-after that pool, on a quarter of the elements. That is exact because relu
-is monotone: relu(max(w)) = max(relu(w)) for every window w, and when the
-max is positive it sits at the same first-match tap either way. A window
-whose max is <= 0 outputs zero and passes zero gradient in both orders; only
-the sign of such intermediate zeros can differ, and a signed zero leaves
-every sum it joins unchanged unless that sum is itself zero.
+Network runs its conv blocks, the leading run of Conv2d, ReLU and MaxPool2d
+layers, one sample at a time: each sample goes through every block before
+the next sample starts, so only one sample's conv output, and in backward
+only one sample's conv-output gradient, exists at a time. For backward each
+block layer keeps, per sample, its padded input (Conv2d), uint8 tap index
+(MaxPool2d) or mask (ReLU). The layers from the first Flatten, Dropout or
+Linear on run on the whole batch; dropout draws one mask per batch. Backward
+runs that head at batch size, then the blocks in reverse for samples 0..B-1,
+and each conv adds up its samples' parameter gradients in that order, as
+Conv2d.backward does within a batch, so both give the same bits. Conv2d
+builds im2col columns one sample at a time, and the SGD update scales the
+gradient, the velocity and the weights in place.
+
+Within the blocks, a ReLU that directly precedes a MaxPool2d runs after that
+pool, on a quarter of the elements. That is exact because relu is monotone:
+relu(max(w)) = max(relu(w)) for every window w, and when the max is positive
+it sits at the same first-match tap either way. A window whose max is <= 0
+outputs zero and passes zero gradient in both orders; only the sign of such
+intermediate zeros can differ, and a signed zero leaves every sum it joins
+unchanged unless that sum is itself zero.
 """
 
 from __future__ import annotations
@@ -187,11 +197,11 @@ class MaxPool2d:
 
 class ReLU:
     def forward(self, x, train=False):
-        self.mask = x > 0
-        return x * self.mask
+        self._cache = x > 0
+        return x * self._cache
 
     def backward(self, grad_out):
-        return grad_out * self.mask
+        return grad_out * self._cache
 
     def parameters(self):
         return []
@@ -398,6 +408,16 @@ def infer_shapes(config: NetworkConfig):
     return shapes
 
 
+def _backward(layer, grad_out, first):
+    """One layer's backward. The network's first layer computes no input
+    gradient, and a first layer without parameters is skipped."""
+    if not first:
+        return layer.backward(grad_out)
+    if layer.parameters():
+        layer.backward(grad_out, input_grad=False)
+    return None
+
+
 class Network:
     """Instantiated layers plus the RNG stream that owns dropout masks."""
 
@@ -428,11 +448,16 @@ class Network:
                 self.layers.append(
                     Linear(spec["in_features"], spec["out_features"], dtype=dtype, rng=self.rng)
                 )
-        # Run order: a ReLU directly followed by a MaxPool2d runs after it.
-        self._order = list(range(len(self.layers)))
-        for i in range(len(self.layers) - 1):
-            if isinstance(self.layers[i], ReLU) and isinstance(self.layers[i + 1], MaxPool2d):
-                self._order[i], self._order[i + 1] = i + 1, i
+        # The conv blocks in run order: a ReLU that directly precedes a
+        # MaxPool2d runs after it.
+        self._blocks = []
+        for i, layer in enumerate(self.layers):
+            if not isinstance(layer, (Conv2d, ReLU, MaxPool2d)):
+                break
+            if i and isinstance(layer, MaxPool2d) and isinstance(self.layers[i - 1], ReLU):
+                self._blocks.insert(-1, layer)
+            else:
+                self._blocks.append(layer)
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=self.dtype)
@@ -443,19 +468,45 @@ class Network:
                 f"input shape {x.shape[1:]} does not match network input "
                 f"{tuple(self.config.input_shape)}"
             )
-        for i in self._order:
-            x = self.layers[i].forward(x, train=train)
+        if self._blocks:
+            # per block layer, each sample's backward state
+            self._caches = [[None] * len(x) for _ in self._blocks]
+            outputs = []
+            for n in range(len(x)):
+                h = x[n : n + 1]
+                for layer, caches in zip(self._blocks, self._caches):
+                    h = layer.forward(h, train=train)
+                    caches[n] = layer._cache
+                outputs.append(h)
+            x = np.concatenate(outputs)
+        for layer in self.layers[len(self._blocks) :]:
+            x = layer.forward(x, train=train)
         return x
 
     def backward(self, grad_logits):
         """Fill every layer's parameter gradients. The network's input
         gradient is never read, so the first layer does not compute it."""
+        head = self.layers[len(self._blocks) :]
+        first = (self._blocks or head)[0]
         g = grad_logits
-        first, *rest = self._order
-        for i in reversed(rest):
-            g = self.layers[i].backward(g)
-        if self.layers[first].parameters():
-            self.layers[first].backward(g, input_grad=False)
+        for layer in reversed(head):
+            g = _backward(layer, g, layer is first)
+        sums = {}  # conv -> its (grad_weight, grad_bias) summed over samples so far
+        for n in range(len(g) if self._blocks else 0):
+            h = g[n : n + 1]
+            for layer, caches in zip(reversed(self._blocks), reversed(self._caches)):
+                layer._cache = caches[n]
+                h = _backward(layer, h, layer is first)
+                if not isinstance(layer, Conv2d):
+                    continue
+                if n:
+                    gw, gb = sums[layer]
+                    gw += layer.grad_weight
+                    gb += layer.grad_bias
+                else:
+                    sums[layer] = (layer.grad_weight, layer.grad_bias)
+        for layer, (gw, gb) in sums.items():
+            layer.grad_weight, layer.grad_bias = gw, gb
 
     def param_arrays(self):
         out = []

@@ -1,4 +1,4 @@
-"""Quadratic and short-time time-frequency transforms.
+"""Quadratic time-frequency transforms.
 
 The central transform builds, per output time n, the lag product
 x[n+m] * conj(x[n-m]) tapered by a symmetric lag window h[m], and Fourier
@@ -28,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .analytic import ComplexSignal
 
-IMAGE_KINDS = ("pseudo_wvd", "wvd", "spectrogram")
+IMAGE_KINDS = ("pseudo_wvd", "wvd")
 
 
 @dataclass(frozen=True)
@@ -200,30 +200,6 @@ def wvd_time_marginal(image: TFDImage, x: ComplexSignal) -> np.ndarray:
             "the marginal needs time_stride 1"
         )
     return image.values.mean(axis=1) / 2.0
-
-
-def spectrogram(x: ComplexSignal, window_len: int, hop: int) -> TFDImage:
-    """Squared-magnitude short-time Fourier transform, Hamming analysis window.
-
-    Keeps the non-negative frequency bins 0..window_len//2; rows are window
-    centers at starts 0, hop, 2*hop, ...
-    """
-    if hop < 1:
-        raise ValueError(f"hop must be a positive integer, got {hop}")
-    if window_len < 1:
-        raise ValueError(f"window_len must be a positive integer, got {window_len}")
-    if window_len > len(x):
-        raise ValueError(f"window_len {window_len} exceeds signal length {len(x)}")
-    taper = np.hamming(window_len)
-    starts = np.arange(0, len(x) - window_len + 1, hop)
-    frames = x.samples[starts[:, None] + np.arange(window_len)[None, :]] * taper[None, :]
-    spectra = np.fft.fft(frames, axis=1)
-    keep = window_len // 2 + 1
-    values = np.abs(spectra[:, :keep]) ** 2
-    rate = x.sample_rate_hz
-    time_axis = (starts + (window_len - 1) / 2.0) / rate
-    freq_axis = np.arange(keep) * rate / window_len
-    return TFDImage(values, time_axis, freq_axis, rate, "spectrogram")
 
 
 def _axis_positions(out_len: int, in_len: int) -> np.ndarray:

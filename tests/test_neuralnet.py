@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from wvdnet.neuralnet import (
     Linear,
     MaxPool2d,
     Network,
+    NetworkConfig,
     ReLU,
     TrainConfig,
     accuracy,
@@ -399,17 +401,18 @@ class TestNetworkPasses:
         assert [kinds[type(layer).__name__] for layer in net.layers] == [
             spec["type"] for spec in config.layers]
 
+    @pytest.mark.parametrize("batch", [1, 4, 7])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("train_mode", [False, True])
-    def test_relu_after_pool_is_bitwise_equal_to_config_order(self, dtype, train_mode):
+    def test_relu_after_pool_is_bitwise_equal_to_config_order(self, dtype, train_mode, batch):
         net = Network(small_config(seed=11), dtype=dtype)
         rng = np.random.default_rng(12)
         for owner, name in net.param_arrays():
             if name == "bias":  # biases of both signs: tied windows above and below zero
                 setattr(owner, name, (0.1 * rng.standard_normal(owner.bias.shape)).astype(dtype))
-        x = np.round(rng.standard_normal((4, 1, 16, 16)) * 2) / 2
+        x = np.round(rng.standard_normal((batch, 1, 16, 16)) * 2) / 2
         x[:, :, :8] = 0.0  # flat rows: conv outputs there equal the bias
-        grad = rng.standard_normal((4, 3)).astype(dtype)
+        grad = rng.standard_normal((batch, 3)).astype(dtype)
         masks = net.rng.bit_generator.state  # replay the same dropout masks
         ref_logits, ref_grads = spec_order_pass(net, x, grad, train_mode)
         net.rng.bit_generator.state = masks
@@ -418,6 +421,57 @@ class TestNetworkPasses:
         assert logits.tobytes() == ref_logits.tobytes()
         for (owner, name), ref in zip(net.param_arrays(), ref_grads):
             assert getattr(owner, "grad_" + name).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_mixed_conv_blocks_are_bitwise_equal_to_config_order(self, dtype, batch):
+        # conv -> relu -> conv -> relu -> pool: the first ReLU precedes no
+        # pool; then a conv block without a ReLU before the head
+        def conv(c, o, p):
+            return {"type": "conv2d", "in_ch": c, "out_ch": o, "kernel": 3, "stride": 1,
+                    "padding": p}
+
+        pool = {"type": "maxpool2d", "kernel": 2, "stride": 2}
+        config = NetworkConfig(
+            layers=(conv(2, 3, 1), {"type": "relu"}, conv(3, 4, 1), {"type": "relu"}, pool,
+                    conv(4, 5, 0), pool, {"type": "flatten"},
+                    {"type": "linear", "in_features": 20, "out_features": 3}),
+            input_shape=(2, 14, 12), num_classes=3, seed=13)
+        net = Network(config, dtype=dtype)
+        rng = np.random.default_rng(14)
+        for owner, name in net.param_arrays():
+            if name == "bias":
+                setattr(owner, name, (0.1 * rng.standard_normal(owner.bias.shape)).astype(dtype))
+        x = np.round(rng.standard_normal((batch, 2, 14, 12)) * 2) / 2
+        x[:, :, :5] = 0.0
+        grad = rng.standard_normal((batch, 3)).astype(dtype)
+        ref_logits, ref_grads = spec_order_pass(net, x, grad, train=True)
+        logits = net.forward(x, train=True)
+        net.backward(grad)
+        assert logits.tobytes() == ref_logits.tobytes()
+        for (owner, name), ref in zip(net.param_arrays(), ref_grads):
+            assert getattr(owner, "grad_" + name).tobytes() == ref.tobytes()
+
+    def test_train_step_holds_one_sample_conv_output(self):
+        config = NetworkConfig(
+            layers=({"type": "conv2d", "in_ch": 1, "out_ch": 16, "kernel": 3, "stride": 1,
+                     "padding": 1},
+                    {"type": "relu"}, {"type": "maxpool2d", "kernel": 8, "stride": 8},
+                    {"type": "flatten"}, {"type": "linear", "in_features": 4096, "out_features": 3}),
+            input_shape=(1, 128, 128), num_classes=3)
+        net = Network(config)
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((16, 1, 128, 128)).astype(np.float32)
+        grad = rng.standard_normal((16, 3)).astype(np.float32)
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            net.forward(x, train=True)
+            net.backward(grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        batch_conv_output = 16 * 16 * 128 * 128 * 4
+        assert peak < batch_conv_output / 2
 
 
 def reference_train(config, images, labels, cfg, eval_images, eval_labels):

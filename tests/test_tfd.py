@@ -13,7 +13,6 @@ from wvdnet.tfd import (
     pseudo_wvd,
     rectangular_lag_window,
     resize_bilinear,
-    spectrogram,
     wvd,
     wvd_time_marginal,
 )
@@ -204,44 +203,11 @@ class TestTimeMarginal:
             wvd_time_marginal(img2, x)
 
 
-class TestSpectrogram:
-    def test_zero_signal(self):
-        x = ComplexSignal(np.zeros(512, dtype=complex), 1000.0)
-        img = spectrogram(x, 64, 16)
-        np.testing.assert_array_equal(img.values, np.zeros_like(img.values))
-        assert img.kind == "spectrogram"
-
-    def test_tone_peaks_at_correct_bin(self):
-        x = analytic_tone(500.0, 4000.0, 1.0)
-        img = spectrogram(x, 256, 64)
-        expected_bin = round(500.0 * 256 / 4000.0)
-        assert np.all(img.values.argmax(axis=1) == expected_bin)
-
-    def test_white_noise_bin_energies_are_flat(self):
-        rng = np.random.default_rng(11)
-        samples = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
-        img = spectrogram(ComplexSignal(samples, 4000.0), 256, 64)
-        energies = img.values.sum(axis=0)
-        median = np.median(energies)
-        assert energies.max() < 3 * median
-        assert energies.min() > median / 3
-
-    def test_zero_hop_rejected(self):
-        x = ComplexSignal(np.ones(64, dtype=complex), 100.0)
-        with pytest.raises(ValueError):
-            spectrogram(x, 16, 0)
-
-    def test_window_longer_than_signal_rejected(self):
-        x = ComplexSignal(np.ones(8, dtype=complex), 100.0)
-        with pytest.raises(ValueError, match="exceeds"):
-            spectrogram(x, 16, 4)
-
-
 def planar_image(rows, cols):
     r = np.arange(rows)[:, None]
     c = np.arange(cols)[None, :]
     values = 0.5 + 0.25 * r + 0.125 * c
-    return TFDImage(values, np.arange(rows) * 0.1, np.arange(cols) * 10.0, 1000.0, "spectrogram")
+    return TFDImage(values, np.arange(rows) * 0.1, np.arange(cols) * 10.0, 1000.0, "pseudo_wvd")
 
 
 class TestResizeBilinear:
