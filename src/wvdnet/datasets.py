@@ -429,30 +429,30 @@ class ArrayStore:
 
 
 def load_store(out_dir: str | Path) -> ArrayStore:
+    """Read a store back into one [N, 1, rows, cols] float32 array, each
+    clip's little-endian file straight into its row, with no further copy."""
     out_dir = Path(out_dir)
     store_path = out_dir / "store.json"
     if not store_path.is_file():
         raise DataError(f"no preprocessed store at {out_dir} (missing store.json)")
     meta = json.loads(store_path.read_text())
     rows, cols = meta["image_rows"], meta["image_cols"]
-    images, labels, folds = [], [], []
-    for clip in meta["clips"]:
-        raw = np.fromfile(out_dir / clip["file"], dtype="<f4")
-        if raw.size != rows * cols:
-            raise DataError(
-                f"{clip['file']}: expected {rows * cols} values, found {raw.size}"
-            )
-        images.append(raw.reshape(1, rows, cols))
-        labels.append(clip["label"])
-        folds.append(-1 if clip["fold"] is None else clip["fold"])
-    if not images:
-        images_arr = np.zeros((0, 1, rows, cols), dtype=np.float32)
-    else:
-        images_arr = np.stack(images).astype(np.float32)
+    clips = meta["clips"]
+    images = np.empty((len(clips), 1, rows, cols), dtype=np.float32)
+    for row, clip in zip(images, clips):
+        with open(out_dir / clip["file"], "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            if size != row.nbytes or handle.readinto(row.data.cast("B")) != size:
+                raise DataError(
+                    f"{clip['file']}: expected {rows * cols} float32 values "
+                    f"({row.nbytes} bytes), found {size} bytes"
+                )
+    if not np.little_endian:  # the files are little-endian
+        images.byteswap(inplace=True)
     return ArrayStore(
-        images_arr,
-        np.asarray(labels, dtype=np.int64),
-        np.asarray(folds, dtype=np.int64),
+        images,
+        np.array([clip["label"] for clip in clips], dtype=np.int64),
+        np.array([-1 if clip["fold"] is None else clip["fold"] for clip in clips], dtype=np.int64),
         tuple(meta["class_names"]),
         meta["config_hash"],
     )

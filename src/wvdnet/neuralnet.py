@@ -35,7 +35,6 @@ unchanged unless that sum is itself zero.
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 from dataclasses import dataclass
@@ -508,6 +507,15 @@ class Network:
         for layer, (gw, gb) in sums.items():
             layer.grad_weight, layer.grad_bias = gw, gb
 
+    def drop_state(self):
+        """Drop every layer's gradients and the last pass's backward state,
+        keeping only the weights. A later forward and backward refill them."""
+        self._caches = None
+        for layer in self.layers:
+            for attr in ("grad_weight", "grad_bias", "_cache", "_x", "mask"):
+                if hasattr(layer, attr):
+                    setattr(layer, attr, None)
+
     def param_arrays(self):
         out = []
         for layer in self.layers:
@@ -592,7 +600,9 @@ def train(
 
     Returns the network restored to its best-eval-accuracy snapshot (ties go
     to the later epoch; the final state when there is no eval set) and the
-    per-epoch history of train loss and eval accuracy.
+    per-epoch history of train loss and eval accuracy. The network comes back
+    with its weights only: no gradients and no backward state from the last
+    pass, which a later forward and backward would rebuild.
     """
     train_images = np.asarray(train_images, dtype=np.float32)
     train_labels = np.asarray(train_labels, dtype=np.int64)
@@ -629,6 +639,8 @@ def train(
                 vel *= cfg.momentum
                 vel -= grad_arr
                 param += vel
+            # spent: without this, the next backward would hold two of each gradient
+            net.drop_state()
         row = {"epoch": epoch, "train_loss": float(np.mean(losses)), "eval_accuracy": None}
         if eval_images is not None and len(eval_images):
             row["eval_accuracy"] = accuracy(net, eval_images, eval_labels)
@@ -640,6 +652,7 @@ def train(
 
     if best is not None:
         net.load_snapshot(best)
+    net.drop_state()
     return net, history
 
 
@@ -647,33 +660,37 @@ def train(
 
 
 def save_checkpoint(net: Network, class_names=None) -> bytes:
-    """Versioned binary: magic, version, JSON header, float32 LE tensors."""
+    """Versioned binary: magic, version, JSON header, float32 LE tensors.
+    Each tensor's buffer is joined in once, without an intermediate copy."""
     header = {"network": net.config.to_dict(), "class_names": list(class_names or [])}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    buf.write(struct.pack("<I", len(header_bytes)))
-    buf.write(header_bytes)
     params = net.param_arrays()
-    buf.write(struct.pack("<I", len(params)))
+    parts = [
+        CHECKPOINT_MAGIC,
+        struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)),
+        header_bytes,
+        struct.pack("<I", len(params)),
+    ]
     for owner, name in params:
-        arr = np.asarray(getattr(owner, name), dtype="<f4")
-        buf.write(struct.pack("<I", arr.ndim))
-        buf.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        buf.write(arr.tobytes())
-    return buf.getvalue()
+        arr = np.ascontiguousarray(getattr(owner, name), dtype="<f4")
+        parts.append(struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape))
+        parts.append(memoryview(arr).cast("B"))
+    return b"".join(parts)
 
 
 def load_checkpoint(blob: bytes):
-    """Rebuild a Network from checkpoint bytes; returns (net, class_names)."""
-    buf = io.BytesIO(blob)
+    """Rebuild a Network from checkpoint bytes; returns (net, class_names).
+    Tensors are read through views of the blob and copied straight into the
+    new network's arrays."""
+    view = memoryview(blob)
+    pos = 0
 
     def read(n, what):
-        data = buf.read(n)
-        if len(data) != n:
+        nonlocal pos
+        if pos + n > len(view):
             raise ValueError(f"truncated checkpoint while reading {what}")
-        return data
+        pos += n
+        return view[pos - n : pos]
 
     if read(4, "magic") != CHECKPOINT_MAGIC:
         raise ValueError("not a model checkpoint (bad magic bytes)")
@@ -681,9 +698,14 @@ def load_checkpoint(blob: bytes):
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     (hlen,) = struct.unpack("<I", read(4, "header length"))
-    header = json.loads(read(hlen, "header"))
-    config = NetworkConfig.from_dict(header["network"])
-    net = Network(config, dtype=np.float32)
+    header = json.loads(bytes(read(hlen, "header")))
+    if not isinstance(header, dict) or "network" not in header:
+        raise ValueError("malformed checkpoint header: not a JSON object with a 'network' entry")
+    try:
+        net = Network(NetworkConfig.from_dict(header["network"]), dtype=np.float32)
+        class_names = list(header.get("class_names", []))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed checkpoint header: {type(exc).__name__} {exc}") from None
     params = net.param_arrays()
     (count,) = struct.unpack("<I", read(4, "parameter count"))
     if count != len(params):
@@ -691,12 +713,11 @@ def load_checkpoint(blob: bytes):
     for owner, name in params:
         (ndim,) = struct.unpack("<I", read(4, "tensor rank"))
         shape = struct.unpack(f"<{ndim}I", read(4 * ndim, "tensor shape"))
-        expected = getattr(owner, name).shape
-        if shape != expected:
-            raise ValueError(f"checkpoint tensor shape {shape} does not match {expected}")
+        target = getattr(owner, name)
+        if shape != target.shape:
+            raise ValueError(f"checkpoint tensor shape {shape} does not match {target.shape}")
         n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(read(4 * n, "tensor data"), dtype="<f4").reshape(shape)
-        setattr(owner, name, arr.astype(np.float32))
-    if buf.read(1):
+        np.copyto(target, np.frombuffer(read(4 * n, "tensor data"), dtype="<f4").reshape(shape))
+    if pos != len(view):
         raise ValueError("trailing bytes after checkpoint payload")
-    return net, list(header.get("class_names", []))
+    return net, class_names

@@ -1,8 +1,16 @@
 """Shared test helpers: finite-difference gradients, a direct (non-FFT)
 evaluation of the quadratic time-frequency sum used as the independent oracle,
-and the earlier full-lag form of pseudo_wvd kept as a reference."""
+the earlier full-lag form of pseudo_wvd kept as a reference, and a peak-RSS
+probe that runs a snippet in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from wvdnet.tfd import TFDImage
 
@@ -91,3 +99,36 @@ def reference_pseudo_wvd(x, window, time_stride, n_freq_bins):
     rate = x.sample_rate_hz
     freq_axis = np.arange(n_freq_bins) * rate / (2.0 * n_freq_bins)
     return TFDImage(values, rows / rate, freq_axis, rate, "pseudo_wvd")
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+_PEAK_RSS = """
+def peak_rss():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:"))
+"""
+
+
+def peak_rss_growth(snippet, setup=""):
+    """Run `setup`, then `snippet`, in a fresh interpreter that imports this
+    checkout's package; returns how far `snippet` raised the process's peak
+    resident set, in bytes. Whatever `setup` builds counts in the baseline,
+    so it should free nothing large before the snippet runs.
+
+    The peak is the address space's own high-water mark (VmHWM). ru_maxrss
+    is no use here: a child inherits the parent's high-water mark at exec,
+    so under a large test process it reads flat."""
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("needs /proc/self/status for the peak resident set")
+    code = "\n".join([
+        _PEAK_RSS,
+        textwrap.dedent(setup),
+        "before = peak_rss()",
+        textwrap.dedent(snippet),
+        "print(peak_rss() - before)",
+    ])
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout.split()[-1])

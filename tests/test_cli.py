@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from wvdnet.cli import _config_from_args, build_parser, main
 from wvdnet.config import RunConfig
 from wvdnet.datasets import write_wav_pcm16
+from wvdnet.neuralnet import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 from wvdnet.tfd import image_from_csv
 
 BASE_FLAGS = [
@@ -144,6 +147,19 @@ class TestStreamCommand:
         write_wav_pcm16(wav, np.zeros(4000), 4000.0)
         code = main(["stream", str(wav), "--out", str(workspace["store"])] + BASE_FLAGS)
         assert code == 2
+
+    @pytest.mark.parametrize("header", [b"{}", b"[1, 2]"])
+    def test_malformed_checkpoint_header_exits_2(self, workspace, tmp_path, capsys, header):
+        wav = tmp_path / "long.wav"
+        write_wav_pcm16(wav, np.zeros(20000), 4000.0)
+        ckpt = tmp_path / "bad.wvdn"
+        ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(header))
+                         + header)
+        code = main([
+            "stream", str(wav), "--out", str(workspace["store"]), "--checkpoint", str(ckpt),
+        ] + BASE_FLAGS)
+        assert code == 2
+        assert "malformed checkpoint header" in capsys.readouterr().err
 
 
 class TestExportCommand:

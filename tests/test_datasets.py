@@ -1,9 +1,11 @@
+import json
 import struct
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import peak_rss_growth
 
 from wvdnet.config import RunConfig, build_config
 from wvdnet.datasets import (
@@ -438,3 +440,47 @@ class TestPreprocess:
         index_file = sorted((out / "arrays").iterdir())[0]
         index_file.unlink()
         assert not is_store_current(manifest, cfg, out)
+
+
+def write_store(root, images, folds=None):
+    """A store holding `images` [N, 1, rows, cols], written the way
+    preprocess_dataset lays it out."""
+    (root / "arrays").mkdir(parents=True)
+    clips = []
+    for i, image in enumerate(images):
+        name = f"arrays/{i:05d}_clip.f32"
+        (root / name).write_bytes(image.astype("<f4").tobytes())
+        clips.append({"file": name, "label": i % 2, "fold": None if folds is None else folds[i]})
+    meta = {"class_names": ["a", "b"], "image_rows": images.shape[2],
+            "image_cols": images.shape[3], "config_hash": "0" * 64, "clips": clips}
+    (root / "store.json").write_text(json.dumps(meta))
+
+
+class TestLoadStore:
+    def test_round_trip_is_bitwise(self, tmp_path):
+        images = np.random.default_rng(0).standard_normal((5, 1, 7, 9)).astype(np.float32)
+        write_store(tmp_path, images, folds=[1, 2, 1, 3, 2])
+        store = load_store(tmp_path)
+        assert store.images.dtype == np.float32 and store.images.shape == (5, 1, 7, 9)
+        assert store.images.tobytes() == images.tobytes()
+        assert store.labels.tolist() == [0, 1, 0, 1, 0]
+        assert store.folds.tolist() == [1, 2, 1, 3, 2]
+        assert store.class_names == ("a", "b")
+
+    @pytest.mark.parametrize("size_change", [-4, -1, 2, 4])
+    def test_wrong_size_file_rejected(self, tmp_path, size_change):
+        write_store(tmp_path, np.zeros((3, 1, 4, 4), dtype=np.float32))
+        path = tmp_path / "arrays" / "00001_clip.f32"
+        data = path.read_bytes()
+        path.write_bytes(data[:size_change] if size_change < 0 else data + b"\0" * size_change)
+        with pytest.raises(DataError, match=r"00001_clip\.f32: expected 16 "):
+            load_store(tmp_path)
+
+    def test_peak_rss_stays_below_one_and_a_half_times_the_data(self, tmp_path):
+        images = np.random.default_rng(1).random((64, 1, 300, 300), dtype=np.float32)
+        write_store(tmp_path, images)
+        growth = peak_rss_growth(
+            "store = load_store(root)",
+            setup=f"from wvdnet.datasets import load_store\nroot = {str(tmp_path)!r}",
+        )
+        assert growth < 1.5 * images.nbytes, f"load_store grew RSS by {growth / images.nbytes:.2f}x"

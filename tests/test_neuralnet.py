@@ -1,9 +1,11 @@
+import hashlib
+import json
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import assert_grads_close, numeric_gradient
+from conftest import assert_grads_close, numeric_gradient, peak_rss_growth
 from numpy.lib.stride_tricks import as_strided
 
 from wvdnet import neuralnet
@@ -582,6 +584,97 @@ class TestTraining:
             TrainConfig(epochs=1, momentum=1.0)
 
 
+def held_state(net):
+    """Where a network or its layers hold an array other than a parameter."""
+    params = {id(getattr(owner, name)) for owner, name in net.param_arrays()}
+    found = []
+
+    def walk(value, where):
+        if isinstance(value, np.ndarray):
+            if id(value) not in params:
+                found.append(where)
+        elif isinstance(value, (list, tuple)):
+            for i, item in enumerate(value):
+                walk(item, f"{where}[{i}]")
+
+    for attr, value in vars(net).items():
+        walk(value, f"net.{attr}")
+    for i, layer in enumerate(net.layers):
+        for attr, value in vars(layer).items():
+            walk(value, f"layers[{i}].{attr}")
+    return found
+
+
+@pytest.fixture
+def trained_pair(monkeypatch):
+    """A trained network, and its twin trained the same way by a train()
+    whose network keeps its gradients and backward state."""
+    images, labels = small_dataset()
+    cfg = TrainConfig(epochs=3, batch_size=4, learning_rate=1e-2, seed=9)
+
+    def run():
+        return train(small_config(seed=9), images, labels, cfg, images[:4], labels[:4])[0]
+
+    net = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(Network, "drop_state", lambda self: None, raising=False)
+        kept = run()
+    return net, kept
+
+
+class TestTrainedNetwork:
+    """train() hands back the weights only, and every later use still works."""
+
+    def test_holds_no_gradient_or_backward_state(self, trained_pair):
+        net, kept = trained_pair
+        assert held_state(net) == []
+        assert held_state(kept)  # the twin does hold them
+
+    def test_checkpoint_is_byte_identical_to_the_twin(self, trained_pair):
+        net, kept = trained_pair
+        assert save_checkpoint(net, ["x", "y", "z"]) == save_checkpoint(kept, ["x", "y", "z"])
+
+    def test_predict_and_accuracy_match_the_twin(self, trained_pair):
+        net, kept = trained_pair
+        images, labels = small_dataset(seed=5)
+        for image in images[:3]:
+            label, probs = predict(net, image)
+            kept_label, kept_probs = predict(kept, image)
+            assert label == kept_label and probs.tobytes() == kept_probs.tobytes()
+        assert accuracy(net, images, labels) == accuracy(kept, images, labels)
+
+    def test_forward_and_backward_refill_the_gradients(self, trained_pair):
+        images, labels = small_dataset(n=4, seed=6)
+        grads = []
+        for net in trained_pair:
+            logits = net.forward(images, train=True)
+            net.backward(_batch_softmax_cross_entropy(logits, labels)[1])
+            grads.append([getattr(owner, "grad_" + name) for owner, name in net.param_arrays()])
+        for (owner, name), got, want in zip(trained_pair[0].param_arrays(), *grads):
+            assert got.shape == getattr(owner, name).shape
+            np.testing.assert_array_equal(got, want)
+
+    def test_later_steps_do_not_raise_the_peak(self):
+        # Each step's gradients are dropped after its update; a step that
+        # still held the last one would add a second fc1-sized gradient.
+        setup = """
+            import numpy as np
+            from wvdnet.neuralnet import TrainConfig, reference_config, train
+            images = np.random.default_rng(0).random((12, 1, 128, 128), dtype=np.float32)
+            labels = np.arange(12) % 3
+        """
+        growth = [
+            peak_rss_growth(
+                f"train(reference_config((1, 128, 128), 3), images[:{n}], labels[:{n}], "
+                "TrainConfig(epochs=1, batch_size=4))",
+                setup=setup,
+            )
+            for n in (4, 12)
+        ]
+        fc1 = 64 * 16 * 16 * 500 * 4
+        assert growth[1] - growth[0] < fc1 / 2, f"steps 2-3 added {growth[1] - growth[0]} bytes"
+
+
 class TestPredict:
     def test_probabilities_sum_to_one(self):
         net = Network(small_config(seed=6))
@@ -637,6 +730,43 @@ class TestCheckpoint:
         net = Network(small_config())
         with pytest.raises(ValueError, match="trailing"):
             load_checkpoint(save_checkpoint(net) + b"\x00")
+
+    def test_bytes_are_pinned(self):
+        blob = save_checkpoint(Network(small_config(seed=0)), ["a", "b", "c"])
+        assert hashlib.sha256(blob).hexdigest() == (
+            "da9c4ada169b4b87fb101e4ba2d89d8dc8301a4281d26fbc6c6136d7b5b668fd"
+        )
+
+    @pytest.mark.parametrize("header", [
+        [],
+        "network",
+        {},
+        {"class_names": ["x"]},
+        {"network": []},
+        {"network": {}},
+        {"network": {"layers": [{"type": "conv2d"}], "input_shape": [1, 16, 16],
+                     "num_classes": 3, "seed": 0}},
+        {"network": small_config().to_dict(), "class_names": 5},
+    ])
+    def test_malformed_header_rejected(self, header):
+        blob = save_checkpoint(Network(small_config()))
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        body = json.dumps(header).encode()
+        with pytest.raises(ValueError, match="malformed checkpoint header"):
+            load_checkpoint(blob[:8] + struct.pack("<I", len(body)) + body + blob[12 + hlen :])
+
+    def test_load_peak_rss_stays_below_twice_fc1(self, tmp_path):
+        net = Network(reference_config((1, 128, 128), 3))
+        fc1 = net.layers[11].weight.nbytes
+        path = tmp_path / "model.wvdn"
+        path.write_bytes(save_checkpoint(net))
+        growth = peak_rss_growth(
+            "net, _ = load_checkpoint(blob)",
+            setup="from pathlib import Path\n"
+                  "from wvdnet.neuralnet import load_checkpoint\n"
+                  f"blob = Path({str(path)!r}).read_bytes()",
+        )
+        assert growth < 2 * fc1, f"load_checkpoint grew RSS by {growth / fc1:.2f}x fc1"
 
 
 class TestConfigValidation:
