@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,6 +105,10 @@ def build_config(file_values: dict | None = None, overrides: dict | None = None)
 
 
 def validate_config(cfg: RunConfig) -> None:
+    for field in dataclasses.fields(cfg):
+        value = getattr(cfg, field.name)
+        if field.type == "float" and not math.isfinite(value):
+            raise ConfigError(f"{field.name} must be finite, got {value}")
     if cfg.source not in SOURCE_KINDS:
         raise ConfigError(f"source must be one of {SOURCE_KINDS}, got {cfg.source!r}")
     if cfg.target_rate_hz <= 0 or cfg.synth_rate_hz <= 0:

@@ -4,7 +4,10 @@ Order: optional decimation (skipped when the source rate is already at or
 below the target, or when no integer-ratio rate at or above the target
 exists), length standardization, analytic transform, lag-windowed quadratic
 time-frequency image, bilinear resize, optional log compression, min-max
-normalization.
+normalization. The time half of the resize happens inside pseudo_wvd, which
+transforms only the time rows the resize reads; resize_bilinear then
+resamples the frequency axis. The image is bitwise the one a full
+transform followed by a full resize gives.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ def clip_to_image(signal: Signal, cfg: RunConfig) -> TFDImage:
         window_len -= 1
     stride = cfg.time_stride or auto_time_stride(target_len)
 
-    image = pseudo_wvd(x, hamming_lag_window(window_len), stride, cfg.n_freq_bins)
+    window = hamming_lag_window(window_len)
+    image = pseudo_wvd(x, window, stride, cfg.n_freq_bins, out_rows=cfg.image_rows)
     image = resize_bilinear(image, cfg.image_rows, cfg.image_cols)
     if cfg.log_compress:
         image = log_compress(image)

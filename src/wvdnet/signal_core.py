@@ -65,6 +65,10 @@ def average_channels(channels: list[Signal]) -> Signal:
     """Average several same-length, same-rate channels into one mono signal."""
     if not channels:
         raise ValueError("cannot average an empty channel list")
+    if len(channels) == 1:
+        # The mean of one channel is 0.0 + x: bit for bit x, except that
+        # -0.0 becomes +0.0. One addition gives exactly that, without a stack.
+        return Signal(channels[0].samples + 0.0, channels[0].sample_rate_hz)
     length = len(channels[0])
     rate = channels[0].sample_rate_hz
     for i, ch in enumerate(channels[1:], start=1):

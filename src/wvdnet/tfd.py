@@ -9,9 +9,11 @@ transforms it over m:
 with F frequency bins. Because the lag step is two signal samples, bin k
 corresponds to k * rate / (2F) Hz, covering [0, rate/2) for analytic input.
 The lag kernel is conjugate-symmetric in m (K[-m] = conj K[m]), so only the
-lags m >= 0 are built: they fold into the Hermitian half spectrum of each
-row, whose real DFT np.fft.hfft returns. Values are kept signed until
-normalize_image.
+lags m >= 0 are built, as the conjugate kernel 2 h[m] conj(x[n+m]) x[n-m]:
+they fold into the Hermitian half spectrum of each row, and np.fft.irfft
+with norm="forward" returns W directly, the factor 2 already in the window.
+Given out_rows, only the time rows that a bilinear resize to out_rows reads
+are transformed. Values are kept signed until normalize_image.
 
 Images are stored rows = time, columns = frequency, frequency increasing with
 column index. PNG/CSV export formats are pinned by golden tests.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -123,18 +126,26 @@ def pseudo_wvd(
     time_stride: int,
     n_freq_bins: int,
     kind: str = "pseudo_wvd",
+    out_rows: int | None = None,
 ) -> TFDImage:
     """Lag-windowed quadratic time-frequency image of an analytic signal.
 
-    Output rows sit at samples 0, time_stride, 2*time_stride, ...; column k
+    Grid rows sit at samples 0, time_stride, 2*time_stride, ...; column k
     is k * rate / (2 * n_freq_bins) Hz. Lags beyond the signal ends read as
     zero. Lag offsets alias modulo n_freq_bins, which matches the defining
     sum exactly, so the window may extend up to 2 * n_freq_bins - 1 taps.
 
-    Builds K[n, m] = h[m] x[n+m] conj(x[n-m]) for m = 0..L only and folds it
-    into the half spectrum A[j] = K[j] + conj(K[F-j]), j = 0..F//2, where a
-    term is present only for a lag within the window (the second only when
-    L >= ceil(F/2)). The folded row is Hermitian, so hfft(A) is its real DFT.
+    Builds the conjugate kernel C[n, m] = 2 h[m] conj(x[n+m]) x[n-m] for
+    m = 0..L only and folds it into the half spectrum A[j] = C[j] +
+    conj(C[F-j]), j = 0..F//2, where a term is present only for a lag within
+    the window (the second only when L >= ceil(F/2)). The folded row is the
+    conjugate of a Hermitian half spectrum, so irfft(A, norm="forward") is
+    the real DFT of the unconjugated row, factor 2 included.
+
+    With out_rows, the image is resampled bilinearly to out_rows grid rows,
+    bit for bit as resize_bilinear would, and only the two grid rows on
+    either side of each output row are transformed (all of them when that
+    would not be fewer).
     """
     if len(x) == 0:
         raise ValueError("cannot transform an empty signal")
@@ -152,24 +163,37 @@ def pseudo_wvd(
     padded = np.pad(x.samples, half)
     # Row i of a window view holds padded[i .. i+half], so row n + half is
     # x[n .. n+half] and row n read backwards is x[n], x[n-1], .., x[n-half].
-    forward = sliding_window_view(padded, half + 1)[half::time_stride]
-    backward = sliding_window_view(np.conj(padded), half + 1)[:length:time_stride, ::-1]
-
+    forward = sliding_window_view(np.conj(padded), half + 1)[half::time_stride]
+    backward = sliding_window_view(padded, half + 1)[:length:time_stride, ::-1]
+    taper = 2.0 * window.coefficients[half:]
     half_bins = n_freq_bins // 2 + 1
-    spectrum = np.zeros((len(rows), max(half + 1, half_bins)), dtype=np.complex128)
-    kernel = spectrum[:, : half + 1]
-    np.multiply(window.coefficients[half:], forward, out=kernel)
-    kernel *= backward
     # Negative lags -m with m >= ceil(F/2) alias onto bin F - m <= F//2;
     # both slices are empty when the window is shorter than that.
     first_alias = -(-n_freq_bins // 2)
-    aliased = spectrum[:, first_alias : half + 1][:, ::-1]
-    spectrum[:, n_freq_bins - half : half_bins] += np.conj(aliased)
 
-    values = 2.0 * np.fft.hfft(spectrum[:, :half_bins], n=n_freq_bins, axis=1)
+    def transform(grid_rows):
+        count = len(rows[grid_rows])
+        spectrum = np.zeros((count, max(half + 1, half_bins)), dtype=np.complex128)
+        kernel = spectrum[:, : half + 1]
+        np.multiply(taper, forward[grid_rows], out=kernel)
+        kernel *= backward[grid_rows]
+        aliased = spectrum[:, first_alias : half + 1][:, ::-1]
+        spectrum[:, n_freq_bins - half : half_bins] += np.conj(aliased)
+        return np.fft.irfft(spectrum[:, :half_bins], n=n_freq_bins, axis=1, norm="forward")
+
     rate = x.sample_rate_hz
+    times = rows / rate
+    if out_rows is None:
+        values = transform(slice(None))
+    else:
+        lo, frac = _lerp_weights(out_rows, len(rows))
+        # Transforming rows lo, then rows lo + 1, costs 2 * out_rows rows;
+        # past that, transform every row once and pick from the result.
+        read = transform if 2 * out_rows < len(rows) else transform(slice(None)).__getitem__
+        values = _lerp(read, lo, frac[:, None])
+        times = _lerp(times.__getitem__, lo, frac)
     freq_axis = np.arange(n_freq_bins) * rate / (2.0 * n_freq_bins)
-    return TFDImage(values, rows / rate, freq_axis, rate, kind)
+    return TFDImage(values, times, freq_axis, rate, kind)
 
 
 def wvd(x: ComplexSignal, time_stride: int = 1, n_freq_bins: int | None = None) -> TFDImage:
@@ -202,37 +226,53 @@ def wvd_time_marginal(image: TFDImage, x: ComplexSignal) -> np.ndarray:
     return image.values.mean(axis=1) / 2.0
 
 
-def _axis_positions(out_len: int, in_len: int) -> np.ndarray:
-    """Source coordinates for each output index, endpoints mapped to endpoints."""
+def _lerp_weights(out_len: int, in_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear sampling of in_len points at out_len, endpoints mapped to
+    endpoints: the lower source index lo of each output and the weight frac
+    of source lo + 1."""
+    if out_len < 1 or in_len < 2:
+        raise ValueError(f"cannot resample {in_len} point(s) to {out_len}")
     if out_len == 1:
-        return np.array([(in_len - 1) / 2.0])
-    return np.arange(out_len) * (in_len - 1) / (out_len - 1)
+        pos = np.array([(in_len - 1) / 2.0])
+    else:
+        pos = np.arange(out_len) * (in_len - 1) / (out_len - 1)
+    lo = np.clip(np.floor(pos).astype(int), 0, in_len - 2)
+    return lo, pos - lo
+
+
+def _lerp(read, lo: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """read(lo) * (1 - frac) + read(lo + 1) * frac, one temporary at a time.
+
+    read must return a fresh array; frac must broadcast against it.
+    """
+    out = read(lo)
+    out *= 1 - frac
+    upper = read(lo + 1)
+    upper *= frac
+    out += upper
+    return out
 
 
 def resize_bilinear(image: TFDImage, out_rows: int, out_cols: int) -> TFDImage:
-    """Bilinear resample to (out_rows, out_cols); axes are resampled to match."""
+    """Bilinear resample to (out_rows, out_cols); axes are resampled to match.
+
+    An axis whose length already matches is left as it is.
+    """
     if out_rows < 1 or out_cols < 1:
         raise ValueError(f"requested dimensions must be positive, got {out_rows}x{out_cols}")
     rows, cols = image.shape
     if rows < 2 or cols < 2:
         raise ValueError(f"input must be at least 2x2, got {rows}x{cols}")
-
-    def interp_1d(values: np.ndarray, pos: np.ndarray, axis: int) -> np.ndarray:
-        lo = np.floor(pos).astype(int)
-        lo = np.clip(lo, 0, values.shape[axis] - 2)
-        frac = pos - lo
-        lower = np.take(values, lo, axis=axis)
-        upper = np.take(values, lo + 1, axis=axis)
-        shape = [1, 1]
-        shape[axis] = len(pos)
-        f = frac.reshape(shape) if values.ndim == 2 else frac
-        return lower * (1 - f) + upper * f
-
-    rpos = _axis_positions(out_rows, rows)
-    cpos = _axis_positions(out_cols, cols)
-    values = interp_1d(interp_1d(image.values, rpos, axis=0), cpos, axis=1)
-    time_axis = interp_1d(image.time_axis_s, rpos, axis=0)
-    freq_axis = interp_1d(image.freq_axis_hz, cpos, axis=0)
+    values, time_axis, freq_axis = image.values, image.time_axis_s, image.freq_axis_hz
+    if out_rows != rows:
+        lo, frac = _lerp_weights(out_rows, rows)
+        values = _lerp(values.__getitem__, lo, frac[:, None])
+        time_axis = _lerp(time_axis.__getitem__, lo, frac)
+    if out_cols != cols:
+        lo, frac = _lerp_weights(out_cols, cols)
+        # np.take keeps the result C-ordered; values[:, lo] would not be
+        values = _lerp(partial(np.take, values, axis=1), lo, frac)
+        freq_axis = _lerp(freq_axis.__getitem__, lo, frac)
     return TFDImage(values, time_axis, freq_axis, image.source_rate_hz, image.kind)
 
 

@@ -1,7 +1,9 @@
 """Shared test helpers: finite-difference gradients, a direct (non-FFT)
 evaluation of the quadratic time-frequency sum used as the independent oracle,
-the earlier full-lag form of pseudo_wvd kept as a reference, and a peak-RSS
-probe that runs a snippet in a fresh interpreter."""
+the earlier full-lag form of pseudo_wvd kept as a reference, the all-rows
+hfft form of pseudo_wvd and the two-pass bilinear resize kept as a bitwise
+oracle for the row-selecting chain, and a peak-RSS probe that runs a snippet
+in a fresh interpreter."""
 
 import os
 import subprocess
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from wvdnet.tfd import TFDImage
 
@@ -99,6 +102,60 @@ def reference_pseudo_wvd(x, window, time_stride, n_freq_bins):
     rate = x.sample_rate_hz
     freq_axis = np.arange(n_freq_bins) * rate / (2.0 * n_freq_bins)
     return TFDImage(values, rows / rate, freq_axis, rate, "pseudo_wvd")
+
+
+def hfft_pseudo_wvd(x, window, time_stride, n_freq_bins):
+    """The all-rows form of pseudo_wvd: every grid row's kernel
+    h[m] x[n+m] conj(x[n-m]), m = 0..L, folded into its Hermitian half
+    spectrum, whose real DFT np.fft.hfft returns, then doubled."""
+    length = len(x)
+    half = window.half_length
+    rows = np.arange(0, length, time_stride)
+    padded = np.pad(x.samples, half)
+    forward = sliding_window_view(padded, half + 1)[half::time_stride]
+    backward = sliding_window_view(np.conj(padded), half + 1)[:length:time_stride, ::-1]
+
+    half_bins = n_freq_bins // 2 + 1
+    spectrum = np.zeros((len(rows), max(half + 1, half_bins)), dtype=np.complex128)
+    kernel = spectrum[:, : half + 1]
+    np.multiply(window.coefficients[half:], forward, out=kernel)
+    kernel *= backward
+    first_alias = -(-n_freq_bins // 2)
+    aliased = spectrum[:, first_alias : half + 1][:, ::-1]
+    spectrum[:, n_freq_bins - half : half_bins] += np.conj(aliased)
+
+    values = 2.0 * np.fft.hfft(spectrum[:, :half_bins], n=n_freq_bins, axis=1)
+    rate = x.sample_rate_hz
+    freq_axis = np.arange(n_freq_bins) * rate / (2.0 * n_freq_bins)
+    return TFDImage(values, rows / rate, freq_axis, rate, "pseudo_wvd")
+
+
+def two_pass_resize_bilinear(image, out_rows, out_cols):
+    """Bilinear resize that always interpolates both axes of the whole
+    image, rows first: lower * (1 - f) + upper * f."""
+    rows, cols = image.shape
+
+    def positions(out_len, in_len):
+        if out_len == 1:
+            return np.array([(in_len - 1) / 2.0])
+        return np.arange(out_len) * (in_len - 1) / (out_len - 1)
+
+    def interp_1d(values, pos, axis):
+        lo = np.clip(np.floor(pos).astype(int), 0, values.shape[axis] - 2)
+        frac = pos - lo
+        lower = np.take(values, lo, axis=axis)
+        upper = np.take(values, lo + 1, axis=axis)
+        shape = [1, 1]
+        shape[axis] = len(pos)
+        f = frac.reshape(shape) if values.ndim == 2 else frac
+        return lower * (1 - f) + upper * f
+
+    rpos = positions(out_rows, rows)
+    cpos = positions(out_cols, cols)
+    values = interp_1d(interp_1d(image.values, rpos, axis=0), cpos, axis=1)
+    time_axis = interp_1d(image.time_axis_s, rpos, axis=0)
+    freq_axis = interp_1d(image.freq_axis_hz, cpos, axis=0)
+    return TFDImage(values, time_axis, freq_axis, image.source_rate_hz, image.kind)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

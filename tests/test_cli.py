@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from wvdnet.cli import _config_from_args, build_parser, main
-from wvdnet.config import RunConfig
+from wvdnet.config import RunConfig, build_config
+from wvdnet.errors import ConfigError
 from wvdnet.datasets import write_wav_pcm16
 from wvdnet.neuralnet import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 from wvdnet.tfd import image_from_csv
@@ -253,6 +254,26 @@ class TestExitCodes:
 
     def test_bad_holdout_fraction_exits_1(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path), "--holdout-fraction", "1.5"]) == 1
+
+    def test_non_finite_flag_exits_1(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "d"), "--learning-rate", "nan"]) == 1
+        assert "learning_rate must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+
+FLOAT_FIELDS = [name for name, kind in RunConfig.__annotations__.items() if kind == "float"]
+
+
+class TestNonFiniteFloats:
+    def test_fields_that_took_non_finite_values_are_covered(self):
+        assert {"learning_rate", "clip_seconds", "target_rate_hz", "synth_rate_hz",
+                "window_seconds", "stride_seconds", "tone_high_hz"} <= set(FLOAT_FIELDS)
+
+    @pytest.mark.parametrize("word", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_FIELDS)
+    def test_rejected_from_file_values(self, key, word):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            build_config({key: word})
 
 
 class TestConfigFile:

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import reference_pseudo_wvd
+from conftest import hfft_pseudo_wvd, reference_pseudo_wvd, two_pass_resize_bilinear
 
 from wvdnet import pipeline
 from wvdnet.config import build_config
@@ -20,6 +22,21 @@ def cfg_with(**overrides):
 def tone(freq_hz, rate_hz, seconds):
     t = np.arange(round(seconds * rate_hz)) / rate_hz
     return Signal(0.5 * np.sin(2 * np.pi * freq_hz * t), rate_hz)
+
+
+def noisy_tone(rate_hz, seconds, seed):
+    """A 700 Hz tone in noise whose first quarter is silent, so some rows
+    transform an all-zero lag kernel."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(round(seconds * rate_hz)) / rate_hz
+    samples = 0.3 * np.sin(2 * np.pi * 700.0 * t) + 0.1 * rng.standard_normal(len(t))
+    samples[: len(t) // 4] = 0.0
+    return Signal(samples, rate_hz)
+
+
+def all_rows(transform):
+    """A pseudo_wvd stand-in that ignores out_rows and returns every grid row."""
+    return lambda x, window, stride, bins, out_rows=None: transform(x, window, stride, bins)
 
 
 def reference_decimate(signal, target_rate_hz):
@@ -108,7 +125,7 @@ class TestClipToImage:
         cfg = build_config({}, {})
         fast = clip_to_image(signal, cfg)
         monkeypatch.setattr(pipeline, "decimate", reference_decimate)
-        monkeypatch.setattr(pipeline, "pseudo_wvd", reference_pseudo_wvd)
+        monkeypatch.setattr(pipeline, "pseudo_wvd", all_rows(reference_pseudo_wvd))
         slow = clip_to_image(signal, cfg)
         assert fast.source_rate_hz == slow.source_rate_hz
         np.testing.assert_array_equal(fast.time_axis_s, slow.time_axis_s)
@@ -119,3 +136,65 @@ class TestClipToImage:
         a = clip_to_image(tone(500.0, 4000.0, 0.5), cfg_with())
         b = clip_to_image(tone(500.0, 4000.0, 0.5), cfg_with())
         np.testing.assert_array_equal(a.values, b.values)
+
+
+class TestRowSelectingChainIsBitwise:
+    """clip_to_image transforms only the rows the resize reads; its image must
+    be byte for byte the all-rows hfft transform followed by the two-pass
+    resize."""
+
+    @staticmethod
+    def assert_bitwise_all_rows_chain(signal, cfg, monkeypatch):
+        fast = clip_to_image(signal, cfg)
+        with monkeypatch.context() as patched:
+            patched.setattr(pipeline, "pseudo_wvd", all_rows(hfft_pseudo_wvd))
+            patched.setattr(pipeline, "resize_bilinear", two_pass_resize_bilinear)
+            slow = clip_to_image(signal, cfg)
+        assert fast.shape == slow.shape == (cfg.image_rows, cfg.image_cols)
+        assert fast.source_rate_hz == slow.source_rate_hz
+        assert fast.values.tobytes() == slow.values.tobytes()
+        assert fast.time_axis_s.tobytes() == slow.time_axis_s.tobytes()
+        assert fast.freq_axis_hz.tobytes() == slow.freq_axis_hz.tobytes()
+
+    @pytest.mark.parametrize("rate", [44100.0, 22050.0, 8000.0, 4000.0])
+    def test_default_config_at_each_rate(self, rate, monkeypatch):
+        self.assert_bitwise_all_rows_chain(
+            noisy_tone(rate, 4.0, int(rate)), build_config({}, {}), monkeypatch
+        )
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # 200 raw rows read by 500 output rows: source rows repeat
+            dict(clip_seconds=0.05, image_rows=500),
+            dict(image_rows=2),
+            dict(time_stride=1),
+            # 2000 raw rows at stride 1, resized to exactly that many
+            dict(time_stride=1, image_rows=2000),
+            # L = 50 >= F / 2 = 32: negative lags alias onto the half spectrum
+            dict(n_freq_bins=64, lag_window_len=101),
+            dict(log_compress=True),
+            # image_cols == n_freq_bins: the frequency axis is left alone
+            dict(image_cols=64),
+        ],
+        ids=["rows-repeat", "two-rows", "stride-1", "same-rows", "aliasing", "log", "same-cols"],
+    )
+    def test_geometry(self, overrides, monkeypatch):
+        self.assert_bitwise_all_rows_chain(
+            noisy_tone(4000.0, 0.5, 7), cfg_with(**overrides), monkeypatch
+        )
+
+    def test_peak_memory_below_all_rows_spectrum(self):
+        signal = noisy_tone(44100.0, 4.0, 3)
+        cfg = build_config({}, {})
+        target_len = round(cfg.clip_seconds * working_rate_hz(cfg, 44100.0))
+        all_rows_spectrum = -(-target_len // auto_time_stride(target_len)) * 257 * 16
+        assert all_rows_spectrum == 1176 * 257 * 16
+        clip_to_image(signal, cfg)
+        tracemalloc.start()
+        try:
+            clip_to_image(signal, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < all_rows_spectrum

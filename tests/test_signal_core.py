@@ -38,6 +38,22 @@ class TestAverageChannels:
         np.testing.assert_array_equal(out.samples, [0.5, -0.5])
         assert out.sample_rate_hz == 8000.0
 
+    def test_mono_equals_stack_and_mean_bit_for_bit(self):
+        samples = np.array([0.25, -0.0, 0.0, -1.0, 1e-300, np.pi])
+        sig = Signal(samples, 8000.0)
+        out = average_channels([sig])
+        assert out.samples.tobytes() == np.stack([samples]).mean(axis=0).tobytes()
+        assert out.samples is not sig.samples
+        assert out.sample_rate_hz == 8000.0
+
+    def test_stereo_is_the_stacked_mean(self):
+        a = Signal([0.1, -0.0, 0.7, -0.3], 8000.0)
+        b = Signal([0.2, -0.0, -0.7, 0.9], 8000.0)
+        out = average_channels([a, b])
+        expected = np.stack([a.samples, b.samples]).mean(axis=0)
+        assert out.samples.tobytes() == expected.tobytes()
+        assert out.samples is not a.samples and out.samples is not b.samples
+
     def test_opposite_channels_cancel(self):
         a = Signal([1.0, 1.0, 1.0], 8000.0)
         b = Signal([-1.0, -1.0, -1.0], 8000.0)

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from conftest import direct_quadratic_tfd, reference_pseudo_wvd
+from conftest import (
+    direct_quadratic_tfd,
+    hfft_pseudo_wvd,
+    reference_pseudo_wvd,
+    two_pass_resize_bilinear,
+)
 
 from wvdnet.analytic import ComplexSignal, analytic_signal
 from wvdnet.signal_core import Signal
@@ -98,6 +103,34 @@ class TestPseudoWvd:
         np.testing.assert_array_equal(fast.time_axis_s, slow.time_axis_s)
         np.testing.assert_array_equal(fast.freq_axis_hz, slow.freq_axis_hz)
         assert np.abs(fast.values - slow.values).max() <= 1e-12 * np.abs(slow.values).max()
+
+    @pytest.mark.parametrize(
+        "n,window_len,stride,bins,out_rows",
+        [
+            (17640, 127, 15, 512, 300),  # the paper geometry: 600 of 1176 rows
+            (2000, 101, 3, 64, 40),  # lag aliasing
+            (300, 31, 1, 32, 500),  # more output rows than grid rows
+            (300, 31, 1, 32, 300),  # as many output rows as grid rows
+            (257, 9, 4, 16, 2),
+            (257, 9, 4, 16, 1),
+        ],
+    )
+    def test_out_rows_is_the_all_rows_image_resized(self, n, window_len, stride, bins, out_rows):
+        rng = np.random.default_rng(n + out_rows)
+        x = ComplexSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), 4410.0)
+        win = hamming_lag_window(window_len)
+        full = hfft_pseudo_wvd(x, win, stride, bins)
+        assert pseudo_wvd(x, win, stride, bins).values.tobytes() == full.values.tobytes()
+        fast = pseudo_wvd(x, win, stride, bins, out_rows=out_rows)
+        slow = two_pass_resize_bilinear(full, out_rows, bins)
+        assert fast.values.tobytes() == slow.values.tobytes()
+        assert fast.time_axis_s.tobytes() == slow.time_axis_s.tobytes()
+        assert fast.freq_axis_hz.tobytes() == full.freq_axis_hz.tobytes()
+
+    def test_out_rows_needs_two_grid_rows(self):
+        x = ComplexSignal(np.ones(20, dtype=complex), 100.0)
+        with pytest.raises(ValueError, match="cannot resample 1 point"):
+            pseudo_wvd(x, hamming_lag_window(9), 50, 16, out_rows=4)
 
     def test_sum_is_real_up_to_roundoff(self):
         rng = np.random.default_rng(9)
@@ -216,6 +249,25 @@ class TestResizeBilinear:
         out = resize_bilinear(img, 5, 7)
         assert np.abs(out.values - img.values).max() < 1e-12
         np.testing.assert_allclose(out.freq_axis_hz, img.freq_axis_hz)
+
+    def test_matching_axes_left_as_they_are(self):
+        img = planar_image(5, 7)
+        assert resize_bilinear(img, 5, 7).values.tobytes() == img.values.tobytes()
+        rows_kept = resize_bilinear(img, 5, 3)
+        assert rows_kept.time_axis_s.tobytes() == img.time_axis_s.tobytes()
+        assert rows_kept.values.tobytes() == two_pass_resize_bilinear(img, 5, 3).values.tobytes()
+
+    @pytest.mark.parametrize("out_rows,out_cols", [(13, 4), (2, 2), (1, 9), (3, 7)])
+    def test_matches_two_pass_resize(self, out_rows, out_cols):
+        img = TFDImage(
+            np.random.default_rng(out_rows).standard_normal((6, 9)),
+            np.arange(6) * 0.1, np.arange(9) * 10.0, 1000.0, "pseudo_wvd",
+        )
+        fast = resize_bilinear(img, out_rows, out_cols)
+        slow = two_pass_resize_bilinear(img, out_rows, out_cols)
+        assert fast.values.tobytes() == slow.values.tobytes()
+        assert fast.time_axis_s.tobytes() == slow.time_axis_s.tobytes()
+        assert fast.freq_axis_hz.tobytes() == slow.freq_axis_hz.tobytes()
 
     def test_constant_stays_constant(self):
         img = TFDImage(np.full((4, 4), 3.25), np.arange(4.0), np.arange(4.0), 100.0, "wvd")
