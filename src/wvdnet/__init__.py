@@ -40,7 +40,6 @@ from .neuralnet import (
 )
 from .pipeline import clip_to_image, working_rate_hz
 from .signal_core import (
-    FirFilter,
     Signal,
     average_channels,
     decimate,

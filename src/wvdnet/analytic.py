@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_core import Signal
+from .signal_core import Signal, work_array
 
 
 @dataclass(frozen=True)
@@ -36,24 +36,29 @@ class ComplexSignal:
         return len(self.samples) / self.sample_rate_hz
 
 
-def analytic_signal(signal: Signal) -> ComplexSignal:
+def analytic_signal(signal: Signal, work: dict | None = None) -> ComplexSignal:
     """Analytic version of a real signal via the frequency-domain Hilbert method.
 
     Doubles positive-frequency bins, zeroes negative ones, and leaves DC (and
     the Nyquist bin for even lengths) untouched. The real part of the result
-    equals the input to round-off.
+    equals the input to round-off. With work, the spectrum, the gain and the
+    result live in it (see signal_core.work_array).
     """
     if np.iscomplexobj(signal.samples):
         raise ValueError("analytic_signal expects a real-valued input signal")
     n = len(signal)
     if n < 2:
         raise ValueError(f"analytic_signal needs at least 2 samples, got {n}")
-    spectrum = np.fft.fft(signal.samples)
-    gain = np.zeros(n)
+    spectrum = work_array(work, "analytic_spectrum", (n,), np.complex128)
+    np.fft.fft(signal.samples, out=spectrum)
+    gain = work_array(work, "analytic_gain", (n,))
+    gain[:] = 0.0
     gain[0] = 1.0
     if n % 2 == 0:
         gain[1 : n // 2] = 2.0
         gain[n // 2] = 1.0
     else:
         gain[1 : (n + 1) // 2] = 2.0
-    return ComplexSignal(np.fft.ifft(spectrum * gain), signal.sample_rate_hz)
+    spectrum *= gain
+    analytic = np.fft.ifft(spectrum, out=work_array(work, "analytic", (n,), np.complex128))
+    return ComplexSignal(analytic, signal.sample_rate_hz)

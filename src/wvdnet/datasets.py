@@ -110,6 +110,8 @@ def decode_wav(data: bytes) -> list[Signal]:
         raw /= 32768.0
     elif not np.isfinite(raw).all():
         raise DataError("'data' chunk holds non-finite float samples")
+    if channels == 1:  # raw is already a new contiguous array
+        return [Signal(raw.reshape(frames), float(rate))]
     return [Signal(raw[:, ch].copy(), float(rate)) for ch in range(channels)]
 
 
@@ -314,14 +316,16 @@ def _array_filename(index: int, clip_path: str) -> str:
     return f"{index:05d}_{Path(clip_path).stem}.f32"
 
 
-def _preprocess_clip(task):
-    """Worker: decode one clip, run the pipeline, write its array file."""
+def _preprocess_clip(task, work=None):
+    """Worker: decode one clip, run the pipeline, write its array file.
+
+    work is clip_to_image's, kept by the caller from one clip to the next."""
     cfg_dict, clip_path, out_file = task
     cfg = RunConfig(**cfg_dict)
     try:
         channels = decode_wav(Path(clip_path).read_bytes())
         signal = average_channels(channels)
-        image = clip_to_image(signal, cfg)
+        image = clip_to_image(signal, cfg, work=work)
         atomic_write_bytes(out_file, image.values.astype("<f4").tobytes())
         return {
             "ok": True,
@@ -353,7 +357,8 @@ def preprocess_dataset(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_preprocess_clip, tasks))
     else:
-        results = [_preprocess_clip(task) for task in tasks]
+        work = {}
+        results = [_preprocess_clip(task, work) for task in tasks]
 
     kept, skipped = [], []
     for rec, task, result in zip(manifest.records, tasks, results):

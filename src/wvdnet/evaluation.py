@@ -182,9 +182,10 @@ def stream_infer(
             f"signal is {signal.duration_s:.3f} s but one window needs {window_s:.3f} s"
         )
     predictions = []
+    work = {}
     for start in range(0, len(signal) - win + 1, hop):
         piece = Signal(signal.samples[start : start + win], rate)
-        image = clip_to_image(piece, cfg)
+        image = clip_to_image(piece, cfg, work=work)
         label, probs = predict(net, image.values[None].astype(np.float32))
         predictions.append(StreamPrediction(start / rate, (start + win) / rate, label, probs))
     return predictions

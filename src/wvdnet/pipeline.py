@@ -8,6 +8,13 @@ normalization. The time half of the resize happens inside pseudo_wvd, which
 transforms only the time rows the resize reads; resize_bilinear then
 resamples the frequency axis. The image is bitwise the one a full
 transform followed by a full resize gives.
+
+A caller that runs many clips passes clip_to_image the same work dict each
+time. The caller owns it: the stages keep their intermediate arrays in it
+(see signal_core.work_array), so that after the first clip they allocate
+no fresh memory for them. They stay valid only until the next call with that
+dict. The image clip_to_image returns is always new and is not touched by
+later calls.
 """
 
 from __future__ import annotations
@@ -41,14 +48,19 @@ def auto_time_stride(num_samples: int) -> int:
     return max(1, math.ceil(num_samples / MAX_RAW_TIME_ROWS))
 
 
-def clip_to_image(signal: Signal, cfg: RunConfig) -> TFDImage:
-    """Run the full per-clip chain; output values are normalized to [0, 1]."""
+def clip_to_image(signal: Signal, cfg: RunConfig, work: dict | None = None) -> TFDImage:
+    """Run the full per-clip chain; output values are normalized to [0, 1].
+
+    With work (see the module docstring), every stage before the
+    normalization runs in arrays held there; the returned image never shares
+    memory with them.
+    """
     rate = working_rate_hz(cfg, signal.sample_rate_hz)
     if rate < signal.sample_rate_hz:
-        signal = decimate(signal, rate)
+        signal = decimate(signal, rate, work=work)
     target_len = round(cfg.clip_seconds * rate)
-    signal = pad_or_truncate(signal, target_len)
-    x = analytic_signal(signal)
+    signal = pad_or_truncate(signal, target_len, work=work)
+    x = analytic_signal(signal, work=work)
 
     window_len = cfg.lag_window_len or default_lag_window_length(target_len)
     window_len = min(window_len, 2 * cfg.n_freq_bins - 1)
@@ -57,8 +69,8 @@ def clip_to_image(signal: Signal, cfg: RunConfig) -> TFDImage:
     stride = cfg.time_stride or auto_time_stride(target_len)
 
     window = hamming_lag_window(window_len)
-    image = pseudo_wvd(x, window, stride, cfg.n_freq_bins, out_rows=cfg.image_rows)
-    image = resize_bilinear(image, cfg.image_rows, cfg.image_cols)
+    image = pseudo_wvd(x, window, stride, cfg.n_freq_bins, out_rows=cfg.image_rows, work=work)
+    image = resize_bilinear(image, cfg.image_rows, cfg.image_cols, work=work)
     if cfg.log_compress:
-        image = log_compress(image)
+        image = log_compress(image, work=work)
     return normalize_image(image)

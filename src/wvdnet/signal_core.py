@@ -2,8 +2,13 @@
 
 Covers multi-channel averaging, windowed-sinc anti-alias filtering and
 integer-factor decimation, and clip-length standardization. All functions are
-pure: inputs are never mutated, outputs are freshly allocated arrays in double
-precision.
+pure: inputs are never mutated, and outputs are arrays in double precision.
+
+Outputs are freshly allocated unless the caller passes a work dict. Then an
+output, and the stage's own temporaries, live in arrays that the dict keeps
+from one call to the next (see work_array). The caller owns the dict; a
+work-backed output stays valid until the next call that is given the same
+dict, so a loop keeps its own dict and copies what it must keep.
 """
 
 from __future__ import annotations
@@ -41,24 +46,32 @@ class Signal:
         return len(self.samples) / self.sample_rate_hz
 
 
-@dataclass(frozen=True)
-class FirFilter:
-    """Linear-phase FIR filter with unit DC gain.
+def work_array(work: dict | None, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """An uninitialized C-ordered array of `shape` and `dtype`.
 
-    Tap count is odd so the group delay is an integer number of samples;
-    taps sum to 1 so the passband does not rescale the signal.
+    Without work it is new. With work it is a view of work[key], which is
+    replaced only when it is too small or of another dtype, so a loop that
+    passes one dict on every call stops allocating once its sizes settle.
     """
+    size = math.prod(shape)
+    if work is None:
+        return np.empty(shape, dtype)
+    held = work.get(key)
+    if held is None or held.size < size or held.dtype != dtype:
+        held = work[key] = np.empty(size, dtype)
+    return held[:size].reshape(shape)
 
-    taps: np.ndarray
-    cutoff_hz: float
-    design: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "taps", np.asarray(self.taps, dtype=np.float64))
-        if len(self.taps) % 2 == 0:
-            raise ValueError(f"tap count must be odd, got {len(self.taps)}")
-        if abs(float(np.sum(self.taps)) - 1.0) > 1e-6:
-            raise ValueError("taps must sum to 1 (unit DC gain)")
+def zero_padded(work: dict | None, key: str, samples: np.ndarray, length: int,
+                offset: int) -> np.ndarray:
+    """work_array(work, key, ...) of `length` zeros holding `samples` from
+    index `offset` on."""
+    out = work_array(work, key, (length,), samples.dtype)
+    end = offset + len(samples)
+    out[:offset] = 0
+    out[offset:end] = samples
+    out[end:] = 0
+    return out
 
 
 def average_channels(channels: list[Signal]) -> Signal:
@@ -84,11 +97,12 @@ def average_channels(channels: list[Signal]) -> Signal:
     return Signal(stacked.mean(axis=0), rate)
 
 
-def design_lowpass(cutoff_hz: float, sample_rate_hz: float, num_taps: int) -> FirFilter:
-    """Design a Hamming-windowed-sinc low-pass filter.
+def design_lowpass(cutoff_hz: float, sample_rate_hz: float, num_taps: int) -> np.ndarray:
+    """Taps of a Hamming-windowed-sinc low-pass filter.
 
-    The taps are normalized to unit sum, giving DC gain exactly 1; with
-    num_taps >= 63 the stopband response at Nyquist is below 0.01.
+    The tap count is odd, so the linear-phase group delay is a whole number
+    of samples. The taps are normalized to unit sum, giving DC gain exactly
+    1; with num_taps >= 63 the stopband response at Nyquist is below 0.01.
     """
     if cutoff_hz <= 0:
         raise ValueError(f"cutoff_hz must be positive, got {cutoff_hz}")
@@ -103,7 +117,7 @@ def design_lowpass(cutoff_hz: float, sample_rate_hz: float, num_taps: int) -> Fi
     taps = 2.0 * cutoff_hz / sample_rate_hz * np.sinc(2.0 * cutoff_hz / sample_rate_hz * n)
     taps *= np.hamming(num_taps)
     taps /= taps.sum()
-    return FirFilter(taps, cutoff_hz, f"hamming-sinc-{num_taps}")
+    return taps
 
 
 def snap_decimation_rate(source_rate_hz: float, requested_rate_hz: float) -> float:
@@ -129,13 +143,15 @@ def snap_decimation_rate(source_rate_hz: float, requested_rate_hz: float) -> flo
     return source_rate_hz / k_max
 
 
-def decimate(signal: Signal, target_rate_hz: float) -> Signal:
+def decimate(signal: Signal, target_rate_hz: float, work: dict | None = None) -> Signal:
     """Low-pass filter then keep every k-th sample, k = source / target.
 
     The anti-alias cutoff is 0.45x the target Nyquist. The zero-padded,
     delay-compensated filter is evaluated only at the kept samples 0, k, 2k,
-    ...: output length is ceil(n/k) for any n >= 1. Non-integer ratios are
-    rejected; snap_decimation_rate picks an integer-ratio target.
+    ...: output length is ceil(n/k) for any n >= 1. Only the outputs whose
+    filter reaches past either end read a zero-padded copy; the rest read
+    the input in place. Non-integer ratios are rejected;
+    snap_decimation_rate picks an integer-ratio target.
     """
     if target_rate_hz <= 0:
         raise ValueError(f"target_rate_hz must be positive, got {target_rate_hz}")
@@ -155,13 +171,27 @@ def decimate(signal: Signal, target_rate_hz: float) -> Signal:
         )
     if k == 1:
         return Signal(signal.samples.copy(), signal.sample_rate_hz)
-    taps = design_lowpass(0.45 * target_rate_hz / 2.0, signal.sample_rate_hz, 63).taps
-    padded = np.pad(signal.samples, len(taps) // 2)
-    kept = sliding_window_view(padded, len(taps))[::k] @ taps[::-1]
+    taps = design_lowpass(0.45 * target_rate_hz / 2.0, signal.sample_rate_hz, 63)[::-1]
+    half = len(taps) // 2
+    samples, n = signal.samples, len(signal)
+    count = -(-n // k)
+    kept = work_array(work, "decimate_kept", (count,))
+    # Output j filters samples j*k - half .. j*k + half; those from first
+    # to stop - 1 lie inside the input.
+    first = min(-(-half // k), count)
+    stop = min(max((n - 1 - half) // k + 1, first), count)
+    for start, end in ((0, first), (first, stop), (stop, count)):
+        if start == end:
+            continue
+        lo, hi = start * k - half, (end - 1) * k + half + 1
+        reach = samples[max(lo, 0) : hi]
+        if lo < 0 or hi > n:
+            reach = np.pad(reach, (max(-lo, 0), max(hi - n, 0)))
+        np.matmul(sliding_window_view(reach, len(taps))[::k], taps, out=kept[start:end])
     return Signal(kept, target_rate_hz)
 
 
-def pad_or_truncate(signal: Signal, target_len: int) -> Signal:
+def pad_or_truncate(signal: Signal, target_len: int, work: dict | None = None) -> Signal:
     """Center-crop to target_len, or zero-pad symmetrically when shorter.
 
     When the pad or crop amount is odd, the extra sample goes to the right.
@@ -169,12 +199,7 @@ def pad_or_truncate(signal: Signal, target_len: int) -> Signal:
     if target_len <= 0:
         raise ValueError(f"target_len must be positive, got {target_len}")
     n = len(signal)
-    if n == target_len:
-        return Signal(signal.samples.copy(), signal.sample_rate_hz)
-    if n > target_len:
-        start = (n - target_len) // 2
-        return Signal(signal.samples[start : start + target_len].copy(), signal.sample_rate_hz)
-    left = (target_len - n) // 2
-    out = np.zeros(target_len, dtype=np.float64)
-    out[left : left + n] = signal.samples
-    return Signal(out, signal.sample_rate_hz)
+    start = max(0, (n - target_len) // 2)
+    left = max(0, (target_len - n) // 2)
+    kept = signal.samples[start : start + target_len]
+    return Signal(zero_padded(work, "clip", kept, target_len, left), signal.sample_rate_hz)

@@ -2,8 +2,8 @@
 evaluation of the quadratic time-frequency sum used as the independent oracle,
 the earlier full-lag form of pseudo_wvd kept as a reference, the all-rows
 hfft form of pseudo_wvd and the two-pass bilinear resize kept as a bitwise
-oracle for the row-selecting chain, and a peak-RSS probe that runs a snippet
-in a fresh interpreter."""
+oracle for the row-selecting chain, and a fresh-interpreter runner with a
+peak-RSS probe built on it."""
 
 import os
 import subprocess
@@ -130,9 +130,9 @@ def hfft_pseudo_wvd(x, window, time_stride, n_freq_bins):
     return TFDImage(values, rows / rate, freq_axis, rate, "pseudo_wvd")
 
 
-def two_pass_resize_bilinear(image, out_rows, out_cols):
+def two_pass_resize_bilinear(image, out_rows, out_cols, work=None):
     """Bilinear resize that always interpolates both axes of the whole
-    image, rows first: lower * (1 - f) + upper * f."""
+    image, rows first: lower * (1 - f) + upper * f. work is ignored."""
     rows, cols = image.shape
 
     def positions(out_len, in_len):
@@ -166,26 +166,31 @@ def peak_rss():
 """
 
 
+def run_fresh(code):
+    """Run `code` in a fresh interpreter that imports this checkout's
+    package, and return the last word it prints, as a float."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    return float(done.stdout.split()[-1])
+
+
 def peak_rss_growth(snippet, setup=""):
-    """Run `setup`, then `snippet`, in a fresh interpreter that imports this
-    checkout's package; returns how far `snippet` raised the process's peak
-    resident set, in bytes. Whatever `setup` builds counts in the baseline,
-    so it should free nothing large before the snippet runs.
+    """Run `setup`, then `snippet`, in a fresh interpreter (see run_fresh);
+    returns how far `snippet` raised the process's peak resident set, in
+    bytes. Whatever `setup` builds counts in the baseline, so it should free
+    nothing large before the snippet runs.
 
     The peak is the address space's own high-water mark (VmHWM). ru_maxrss
     is no use here: a child inherits the parent's high-water mark at exec,
     so under a large test process it reads flat."""
     if not Path("/proc/self/status").is_file():
         pytest.skip("needs /proc/self/status for the peak resident set")
-    code = "\n".join([
+    return int(run_fresh("\n".join([
         _PEAK_RSS,
         textwrap.dedent(setup),
         "before = peak_rss()",
         textwrap.dedent(snippet),
         "print(peak_rss() - before)",
-    ])
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
-    assert done.returncode == 0, done.stderr
-    return int(done.stdout.split()[-1])
+    ])))

@@ -77,6 +77,28 @@ class TestDecodeWav:
         signals = decode_wav(wav_bytes(payload, fmt_tag=3, bits=32))
         np.testing.assert_allclose(signals[0].samples, [0.0, 0.25, -1.0])
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            np.array([0, 1, -1, 16384, -32768, 32767], dtype="<i2"),
+            np.array([0.5, -0.0, 0.0, -1.0, 1e-40, -3.25], dtype="<f4"),
+        ],
+        ids=["pcm16", "float32"],
+    )
+    def test_mono_decodes_bit_for_bit(self, raw):
+        """One channel comes back as the decoded column itself: the same bits
+        as the per-channel copy of a multi-channel decode, -0.0 included."""
+        fmt_tag, bits = (1, 16) if raw.dtype == np.int16 else (3, 32)
+        (signal,) = decode_wav(wav_bytes(raw.tobytes(), fmt_tag=fmt_tag, bits=bits))
+        expected = raw.astype(np.float64)
+        if fmt_tag == 1:
+            expected /= 32768.0
+        assert signal.samples.shape == raw.shape and signal.samples.flags.c_contiguous
+        assert signal.samples.tobytes() == expected.tobytes()
+        stereo = np.repeat(raw, 2)
+        left, _ = decode_wav(wav_bytes(stereo.tobytes(), fmt_tag=fmt_tag, channels=2, bits=bits))
+        assert left.samples.tobytes() == signal.samples.tobytes()
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_float_sample_rejected(self, bad):
         payload = struct.pack("<4f", 0.0, 0.25, bad, -1.0)  # stereo: frame 1, channel 0

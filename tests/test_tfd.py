@@ -312,6 +312,17 @@ class TestNormalizeImage:
         assert out.values.min() == 0.0
         assert out.values.max() == 1.0
 
+    def test_input_untouched_and_bits_of_the_two_pass_formula(self):
+        rng = np.random.default_rng(14)
+        values = rng.standard_normal((30, 20)) * 1e3
+        img = TFDImage(values.copy(), np.arange(30.0), np.arange(20.0), 100.0, "wvd")
+        out = normalize_image(img)
+        assert img.values.tobytes() == values.tobytes()
+        assert not np.shares_memory(out.values, img.values)
+        clamped = np.maximum(values, 0.0)
+        lo, hi = clamped.min(), clamped.max()
+        assert out.values.tobytes() == ((clamped - lo) / (hi - lo)).tobytes()
+
 
 class TestTfdImageValidation:
     def test_axis_length_mismatch_rejected(self):
