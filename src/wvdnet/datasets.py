@@ -7,14 +7,13 @@ CSV-described corpus layouts plus a generic folder-per-class tree.
 
 Batch preprocessing materializes one raw float32 array file per clip plus an
 `index.csv` (file,label,fold) and a JSON metadata sidecar; re-running with
-identical inputs and config is byte-identical, and clips may be processed by
-a worker pool without changing the output.
+identical inputs and config is byte-identical. One clip loop, with one work
+dict (see pipeline) per process, runs every clip or a pool worker's share.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -316,24 +315,24 @@ def _array_filename(index: int, clip_path: str) -> str:
     return f"{index:05d}_{Path(clip_path).stem}.f32"
 
 
-def _preprocess_clip(task, work=None):
-    """Worker: decode one clip, run the pipeline, write its array file.
+def _preprocess_clip(cfg: RunConfig, clip_path: str, out_file: str, work: dict):
+    """Decode one clip, run the pipeline in work, write its array file.
 
-    work is clip_to_image's, kept by the caller from one clip to the next."""
-    cfg_dict, clip_path, out_file = task
-    cfg = RunConfig(**cfg_dict)
+    Returns the clip's source rate, or the reason it was skipped (a str)."""
     try:
         channels = decode_wav(Path(clip_path).read_bytes())
         signal = average_channels(channels)
         image = clip_to_image(signal, cfg, work=work)
         atomic_write_bytes(out_file, image.values.astype("<f4").tobytes())
-        return {
-            "ok": True,
-            "source_rate_hz": signal.sample_rate_hz,
-            "working_rate_hz": working_rate_hz(cfg, signal.sample_rate_hz),
-        }
+        return signal.sample_rate_hz
     except (DataError, OSError, ValueError) as exc:
-        return {"ok": False, "reason": str(exc)}
+        return str(exc)
+
+
+def _preprocess_clips(cfg: RunConfig, jobs: list) -> list:
+    """The clip loop: run (clip path, array file) jobs in order in one work dict."""
+    work = {}
+    return [_preprocess_clip(cfg, clip_path, out_file, work) for clip_path, out_file in jobs]
 
 
 def preprocess_dataset(
@@ -348,24 +347,24 @@ def preprocess_dataset(
     out_dir = Path(out_dir)
     arrays_dir = out_dir / "arrays"
     arrays_dir.mkdir(parents=True, exist_ok=True)
-    cfg_dict = dataclasses.asdict(cfg)
-    tasks = []
-    for i, rec in enumerate(manifest.records):
-        tasks.append((cfg_dict, rec.path, str(arrays_dir / _array_filename(i, rec.path))))
-
-    if workers > 1 and len(tasks) > 1:
+    jobs = [(rec.path, str(arrays_dir / _array_filename(i, rec.path)))
+            for i, rec in enumerate(manifest.records)]
+    workers = min(workers, len(jobs))
+    if workers > 1:
+        results = [None] * len(jobs)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_preprocess_clip, tasks))
+            shares = [jobs[w::workers] for w in range(workers)]
+            for w, share in enumerate(pool.map(_preprocess_clips, [cfg] * workers, shares)):
+                results[w::workers] = share
     else:
-        work = {}
-        results = [_preprocess_clip(task, work) for task in tasks]
+        results = _preprocess_clips(cfg, jobs)
 
     kept, skipped = [], []
-    for rec, task, result in zip(manifest.records, tasks, results):
-        if result["ok"]:
-            kept.append((Path(task[2]).name, rec, result))
+    for rec, (_, out_file), result in zip(manifest.records, jobs, results):
+        if isinstance(result, str):
+            skipped.append(f"{rec.path}: {result}")
         else:
-            skipped.append(f"{rec.path}: {result['reason']}")
+            kept.append((Path(out_file).name, rec, result))
 
     meta = {
         "format": 1,
@@ -378,10 +377,10 @@ def preprocess_dataset(
                 "file": f"arrays/{name}",
                 "label": rec.label,
                 "fold": rec.fold,
-                "source_rate_hz": result["source_rate_hz"],
-                "working_rate_hz": result["working_rate_hz"],
+                "source_rate_hz": rate,
+                "working_rate_hz": working_rate_hz(cfg, rate),
             }
-            for name, rec, result in kept
+            for name, rec, rate in kept
         ],
     }
     atomic_write_text(out_dir / "skipped.txt", "".join(line + "\n" for line in skipped))
@@ -394,26 +393,51 @@ def preprocess_dataset(
     return {"written": len(kept), "skipped": len(skipped)}
 
 
+_STORE_FIELDS = {"class_names": list, "clips": list, "config_hash": str, "image_rows": int,
+                 "image_cols": int}
+_CLIP_FIELDS = {"file": str, "label": int, "fold": (int, type(None))}
+
+
+def _read_store_meta(out_dir: Path) -> dict:
+    """Parse out_dir's store.json; DataError unless it and each of its clips is
+    a JSON object holding every field load_store reads, with a value of its type."""
+    store_path = out_dir / "store.json"
+    if not store_path.is_file():
+        raise DataError(f"no preprocessed store at {out_dir} (missing store.json)")
+    meta = json.loads(store_path.read_text())
+    _check_fields("the top level", meta, _STORE_FIELDS)
+    for i, clip in enumerate(meta["clips"]):
+        _check_fields(f"clip {i}", clip, _CLIP_FIELDS)
+    return meta
+
+
+def _check_fields(where: str, entry, fields: dict) -> None:
+    if not isinstance(entry, dict):
+        raise DataError(f"malformed store.json: {where} is not a JSON object")
+    for key, kind in fields.items():
+        if key not in entry or not isinstance(entry[key], kind):
+            raise DataError(f"malformed store.json: {where} has a missing or mistyped {key!r}")
+
+
 def is_store_current(manifest: DatasetManifest, cfg: RunConfig, out_dir: str | Path) -> bool:
     """True when the store matches this manifest + config and is complete."""
     out_dir = Path(out_dir)
-    store_path = out_dir / "store.json"
-    if not store_path.is_file() or not (out_dir / "index.csv").is_file():
+    if not (out_dir / "index.csv").is_file():
         return False
     try:
-        meta = json.loads(store_path.read_text())
-    except json.JSONDecodeError:
+        meta = _read_store_meta(out_dir)
+    except (ValueError, DataError):  # missing, unparsable or malformed: rebuild
         return False
-    if meta.get("config_hash") != config_hash(cfg):
+    if meta["config_hash"] != config_hash(cfg):
         return False
-    if meta.get("class_names") != list(manifest.class_names):
+    if meta["class_names"] != list(manifest.class_names):
         return False
     expected = {
         f"arrays/{_array_filename(i, rec.path)}" for i, rec in enumerate(manifest.records)
     }
     skipped_file = out_dir / "skipped.txt"
     n_skipped = len(skipped_file.read_text().splitlines()) if skipped_file.is_file() else 0
-    stored = {clip["file"] for clip in meta.get("clips", [])}
+    stored = {clip["file"] for clip in meta["clips"]}
     if len(stored) + n_skipped != len(expected) or not stored <= expected:
         return False
     return all((out_dir / f).is_file() for f in stored)
@@ -437,10 +461,7 @@ def load_store(out_dir: str | Path) -> ArrayStore:
     """Read a store back into one [N, 1, rows, cols] float32 array, each
     clip's little-endian file straight into its row, with no further copy."""
     out_dir = Path(out_dir)
-    store_path = out_dir / "store.json"
-    if not store_path.is_file():
-        raise DataError(f"no preprocessed store at {out_dir} (missing store.json)")
-    meta = json.loads(store_path.read_text())
+    meta = _read_store_meta(out_dir)
     rows, cols = meta["image_rows"], meta["image_cols"]
     clips = meta["clips"]
     images = np.empty((len(clips), 1, rows, cols), dtype=np.float32)

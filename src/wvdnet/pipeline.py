@@ -10,11 +10,11 @@ resamples the frequency axis. The image is bitwise the one a full
 transform followed by a full resize gives.
 
 A caller that runs many clips passes clip_to_image the same work dict each
-time. The caller owns it: the stages keep their intermediate arrays in it
-(see signal_core.work_array), so that after the first clip they allocate
-no fresh memory for them. They stay valid only until the next call with that
-dict. The image clip_to_image returns is always new and is not touched by
-later calls.
+time (datasets' clip loop holds one per process). The caller owns it: the
+stages keep their intermediate arrays in it (see signal_core.work_array), so
+that after the first clip they allocate no fresh memory for them. They stay
+valid only until the next call with that dict. The image clip_to_image
+returns is always new and is not touched by later calls.
 """
 
 from __future__ import annotations

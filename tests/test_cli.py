@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -98,6 +99,19 @@ class TestTrainCommand:
     def test_missing_store_exits_2(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "empty")] + BASE_FLAGS) == 2
 
+    @pytest.mark.parametrize("breakage", ["no image_rows", "clip without label", "list"])
+    def test_malformed_store_json_exits_2(self, workspace, tmp_path, capsys, breakage):
+        meta = json.loads((workspace["store"] / "store.json").read_text())
+        if breakage == "no image_rows":
+            del meta["image_rows"]
+        elif breakage == "clip without label":
+            del meta["clips"][1]["label"]
+        else:
+            meta = [meta]
+        (tmp_path / "store.json").write_text(json.dumps(meta))
+        assert main(["train", "--out", str(tmp_path)] + BASE_FLAGS) == 2
+        assert "malformed store.json" in capsys.readouterr().err
+
 
 class TestEvaluateCommand:
     def test_memorized_training_set_scores_perfectly(self, workspace, capsys):
@@ -106,8 +120,6 @@ class TestEvaluateCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "accuracy" in out and "1.00" in out
-        import json
-
         report = json.loads((store / "report.json").read_text())
         assert report["accuracy"] == 1.0
         assert report["class_names"] == ["0_tone", "1_chirp", "2_noise"]

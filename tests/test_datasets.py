@@ -406,18 +406,26 @@ class TestPreprocess:
         for f in sorted((tmp_path / "s1" / "arrays").iterdir()):
             assert f.read_bytes() == (tmp_path / "s2" / "arrays" / f.name).read_bytes()
 
-    def test_parallel_workers_match_serial(self, tmp_path):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_parallel_workers_match_serial(self, tmp_path, workers):
+        """Every file of the store, skip report included, is the serial
+        one's, with an undecodable clip in the middle of the manifest."""
         root = tmp_path / "data"
-        make_folder_dataset(root, {"a": 2, "b": 2})
+        make_folder_dataset(root, {"a": 3, "b": 3})
+        (root / "a" / "clip_001_junk.wav").write_bytes(b"this is not audio at all")
         manifest = load_manifest(root, "folder_per_class")
+        assert Path(manifest.records[2].path).name == "clip_001_junk.wav"
         cfg = build_config({}, SMALL_CFG)
-        preprocess_dataset(manifest, cfg, tmp_path / "serial", workers=1)
-        preprocess_dataset(manifest, cfg, tmp_path / "parallel", workers=2)
-        for f in sorted((tmp_path / "serial" / "arrays").iterdir()):
-            assert f.read_bytes() == (tmp_path / "parallel" / "arrays" / f.name).read_bytes()
-        assert (tmp_path / "serial" / "index.csv").read_bytes() == (
-            tmp_path / "parallel" / "index.csv"
-        ).read_bytes()
+        serial = preprocess_dataset(manifest, cfg, tmp_path / "serial", workers=1)
+        parallel = preprocess_dataset(manifest, cfg, tmp_path / "parallel", workers=workers)
+        assert serial == parallel == {"written": 6, "skipped": 1}
+
+        def files(store):
+            return {p.relative_to(store): p.read_bytes() for p in store.rglob("*") if p.is_file()}
+
+        expected = files(tmp_path / "serial")
+        assert len(expected) == 3 + 6  # index.csv, store.json, skipped.txt, arrays
+        assert files(tmp_path / "parallel") == expected
 
     def test_undecodable_clip_lands_in_skip_report(self, tmp_path):
         root = tmp_path / "data"
@@ -463,6 +471,22 @@ class TestPreprocess:
         index_file.unlink()
         assert not is_store_current(manifest, cfg, out)
 
+    @pytest.mark.parametrize("breakage", ["list", "clip not an object"])
+    def test_malformed_store_json_is_not_current(self, tmp_path, breakage):
+        root = tmp_path / "data"
+        make_folder_dataset(root, {"a": 2})
+        manifest = load_manifest(root, "folder_per_class")
+        cfg = build_config({}, SMALL_CFG)
+        out = tmp_path / "store"
+        preprocess_dataset(manifest, cfg, out)
+        meta = json.loads((out / "store.json").read_text())
+        if breakage == "list":
+            meta = [meta]
+        else:
+            meta["clips"][0] = []
+        (out / "store.json").write_text(json.dumps(meta))
+        assert not is_store_current(manifest, cfg, out)
+
 
 def write_store(root, images, folds=None):
     """A store holding `images` [N, 1, rows, cols], written the way
@@ -496,6 +520,18 @@ class TestLoadStore:
         data = path.read_bytes()
         path.write_bytes(data[:size_change] if size_change < 0 else data + b"\0" * size_change)
         with pytest.raises(DataError, match=r"00001_clip\.f32: expected 16 "):
+            load_store(tmp_path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("image_rows", "4"), ("image_cols", None), ("clips", {}), ("class_names", "ab"),
+        ("config_hash", 0), ("file", 3), ("label", "1"), ("fold", "2"), ("fold", 1.0),
+    ])
+    def test_mistyped_field_is_a_data_error(self, tmp_path, field, value):
+        write_store(tmp_path, np.zeros((3, 1, 4, 4), dtype=np.float32))
+        meta = json.loads((tmp_path / "store.json").read_text())
+        (meta["clips"][1] if field in ("file", "label", "fold") else meta)[field] = value
+        (tmp_path / "store.json").write_text(json.dumps(meta))
+        with pytest.raises(DataError, match=f"malformed store.json: .*'{field}'"):
             load_store(tmp_path)
 
     def test_peak_rss_stays_below_one_and_a_half_times_the_data(self, tmp_path):

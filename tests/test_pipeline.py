@@ -245,11 +245,14 @@ class TestWorkReuse:
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="counts minor faults with ru_minflt")
-def test_steady_state_preprocess_does_not_refault_memory(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_steady_state_preprocess_does_not_refault_memory(tmp_path, workers):
     """Each further 4 s 44.1 kHz clip in one preprocess_dataset call faults
     in under 10% of the ~2,200 pages a clip faulted before its work arrays
     outlived it. Clips 3..10 of a call cost the faults of a 10-clip call
-    minus those of a 2-clip call."""
+    minus those of a 2-clip call. With two workers each worker's clip loop
+    holds its own work arrays; the pool's workers are reaped when the call
+    returns, so their faults count in RUSAGE_CHILDREN."""
     per_clip = run_fresh(textwrap.dedent(f"""
         import dataclasses, resource
         from pathlib import Path
@@ -261,11 +264,12 @@ def test_steady_state_preprocess_does_not_refault_memory(tmp_path):
         synth.generate_dataset(root / "clips", cfg)
         many = datasets.load_manifest(root / "clips", "folder_per_class")
         few = dataclasses.replace(many, records=many.records[:2])
+        who = resource.RUSAGE_SELF if {workers} == 1 else resource.RUSAGE_CHILDREN
 
         def faults(manifest):
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            datasets.preprocess_dataset(manifest, cfg, root / "store", workers=1)
-            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            before = resource.getrusage(who).ru_minflt
+            datasets.preprocess_dataset(manifest, cfg, root / "store", workers={workers})
+            return resource.getrusage(who).ru_minflt - before
 
         faults(many), faults(few)
         extra = min(faults(many) for _ in range(3)) - min(faults(few) for _ in range(3))
