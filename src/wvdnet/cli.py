@@ -80,9 +80,9 @@ def cmd_preprocess(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError("preprocess needs dataset_root (--dataset-root or config file)")
     manifest = load_manifest(cfg.dataset_root, cfg.source)
     out_dir = Path(cfg.out_dir)
-    counts = Counter(rec.class_name for rec in manifest.records)
-    for name in manifest.class_names:
-        print(f"{name}: {counts.get(name, 0)} clips")
+    counts = Counter(rec.label for rec in manifest.records)
+    for label, name in enumerate(manifest.class_names):
+        print(f"{name}: {counts[label]} clips")
     if is_store_current(manifest, cfg, out_dir):
         print(f"store at {out_dir} is up to date")
         return 0

@@ -1,9 +1,11 @@
 """WAV ingestion, dataset manifests, seeded splits, and batch preprocessing.
 
-The WAV reader handles RIFF containers with PCM 16-bit or IEEE float 32-bit
-payloads at any rate and channel count; unknown chunks are skipped, malformed
-ones are rejected with the offending chunk named. Manifests cover the two
-CSV-described corpus layouts plus a generic folder-per-class tree.
+`decode_wav` is the one WAV reader: it walks RIFF containers with PCM 16-bit
+or IEEE float 32-bit payloads at any rate and channel count; unknown chunks
+are skipped, malformed ones are rejected with the offending chunk named.
+Manifests cover the two CSV-described corpus layouts plus a generic
+folder-per-class tree. A manifest holds each clip's path, label and fold and
+opens no clip, so an unreadable one surfaces in the preprocessing skip report.
 
 Batch preprocessing materializes one raw float32 array file per clip plus an
 `index.csv` (file,label,fold) and a JSON metadata sidecar; re-running with
@@ -14,7 +16,6 @@ dict (see pipeline) per process, runs every clip or a pool worker's share.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import struct
@@ -41,59 +42,54 @@ ESC50_NUM_CLASSES = 50
 _SAMPLE_DTYPES = {(1, 16): "<i2", (3, 32): "<f4"}  # (format tag, bits) -> dtype
 
 
-def _walk_wav(handle, size: int):
-    """Walk the RIFF chunks of a WAVE stream of `size` bytes and check its
-    'fmt ' chunk. The 'data' payload is seeked past, never read.
+def _walk_wav(data: bytes):
+    """Walk the RIFF chunks of WAVE bytes and check their 'fmt ' chunk.
 
     Returns (dtype, channels, rate, data offset, frames).
     """
-    head = handle.read(12)
-    if len(head) < 12:
+    size = len(data)
+    if size < 12:
         raise DataError("truncated RIFF header")
-    if head[0:4] != b"RIFF":
+    if data[0:4] != b"RIFF":
         raise DataError("not a RIFF file")
-    if head[8:12] != b"WAVE":
+    if data[8:12] != b"WAVE":
         raise DataError("RIFF file is not WAVE")
-    fmt = data = None
+    fmt = payload = None
     offset = 12
     while offset + 8 <= size:
-        handle.seek(offset)
-        tag, chunk_size = struct.unpack("<4sI", handle.read(8))
+        tag, chunk_size = struct.unpack_from("<4sI", data, offset)
         payload_end = offset + 8 + chunk_size
         if payload_end > size:
             raise DataError(f"truncated {tag.decode('ascii', 'replace')!r} chunk")
         if tag == b"fmt " and fmt is None:
             if chunk_size < 16:
                 raise DataError("'fmt ' chunk too short")
-            fmt = struct.unpack("<HHIIHH", handle.read(16))
-        elif tag == b"data" and data is None:
-            data = (offset + 8, chunk_size)
+            fmt = struct.unpack_from("<HHIIHH", data, offset + 8)
+        elif tag == b"data" and payload is None:
+            payload = (offset + 8, chunk_size)
         offset = payload_end + (chunk_size & 1)  # chunks pad to even size
     if fmt is None:
         raise DataError("missing 'fmt ' chunk")
-    if data is None:
+    if payload is None:
         raise DataError("missing 'data' chunk")
     audio_format, channels, rate, _byte_rate, block_align, bits = fmt
     if channels < 1:
         raise DataError("'fmt ' chunk declares zero channels")
     if rate <= 0:
         raise DataError("'fmt ' chunk declares a non-positive sample rate")
-    if audio_format == 1 and bits != 16:
-        raise DataError(f"unsupported PCM bit depth {bits} in 'fmt ' chunk (16 only)")
-    if audio_format == 3 and bits != 32:
-        raise DataError(f"unsupported float bit depth {bits} in 'fmt ' chunk (32 only)")
-    if (audio_format, bits) not in _SAMPLE_DTYPES:
+    dtype = _SAMPLE_DTYPES.get((audio_format, bits))
+    if dtype is None:
         raise DataError(
-            f"unsupported audio format tag {audio_format} in 'fmt ' chunk "
+            f"unsupported audio format tag {audio_format} at bit depth {bits} in 'fmt ' chunk "
             "(PCM 16-bit and IEEE float 32-bit only)"
         )
     bytes_per_frame = channels * bits // 8
     if block_align and block_align != bytes_per_frame:
         raise DataError("'fmt ' chunk block alignment contradicts its sample layout")
-    frames = data[1] // bytes_per_frame
+    frames = payload[1] // bytes_per_frame
     if frames == 0:
         raise DataError("'data' chunk holds no complete frames")
-    return _SAMPLE_DTYPES[audio_format, bits], channels, rate, data[0], frames
+    return dtype, channels, rate, payload[0], frames
 
 
 def decode_wav(data: bytes) -> list[Signal]:
@@ -102,7 +98,7 @@ def decode_wav(data: bytes) -> list[Signal]:
     Integer samples are scaled by 1/32768 so full negative scale maps to -1.
     Float samples must be finite: a NaN or infinity raises DataError.
     """
-    dtype, channels, rate, offset, frames = _walk_wav(io.BytesIO(data), len(data))
+    dtype, channels, rate, offset, frames = _walk_wav(data)
     raw = np.frombuffer(data, dtype=dtype, count=frames * channels, offset=offset)
     raw = raw.reshape(frames, channels).astype(np.float64)
     if dtype == "<i2":
@@ -124,17 +120,6 @@ def write_wav_pcm16(path: str | Path, samples: np.ndarray, rate_hz: float) -> No
         handle.writeframes(quantized.tobytes())
 
 
-def probe_wav(path: str | Path):
-    """Header probe: (rate_hz, channels, frames) without reading the audio.
-
-    Applies every check of `decode_wav` except the one that needs the
-    samples themselves (non-finite float values).
-    """
-    with open(path, "rb") as handle:
-        _, channels, rate, _, frames = _walk_wav(handle, os.fstat(handle.fileno()).st_size)
-    return float(rate), channels, frames
-
-
 # -- manifests ----------------------------------------------------------------
 
 
@@ -142,16 +127,13 @@ def probe_wav(path: str | Path):
 class ClipRecord:
     path: str
     label: int
-    class_name: str
     fold: int | None
-    duration_s: float | None  # None when the header could not be read
 
 
 @dataclass(frozen=True)
 class DatasetManifest:
     records: tuple
     class_names: tuple
-    source: str
 
     def __post_init__(self):
         if not self.class_names:
@@ -168,15 +150,7 @@ class DatasetManifest:
         return len(self.records)
 
 
-def _probe_duration(path: Path) -> float | None:
-    try:
-        rate, _, frames = probe_wav(path)
-        return frames / rate
-    except (DataError, OSError):
-        return None  # undecodable clips surface later in the preprocessing skip report
-
-
-def _load_csv_manifest(root, csv_path, audio_path_for, cols, class_col, id_col, max_id, source):
+def _load_csv_manifest(csv_path, audio_path_for, cols, class_col, id_col, max_id):
     if not csv_path.is_file():
         raise DataError(f"metadata CSV not found: {csv_path}")
     with open(csv_path, newline="") as handle:
@@ -188,6 +162,9 @@ def _load_csv_manifest(root, csv_path, audio_path_for, cols, class_col, id_col, 
     names_by_id: dict[int, str] = {}
     raw_records = []
     for lineno, row in enumerate(rows, start=2):  # header is line 1
+        for col in cols:
+            if row[col] is None:  # DictReader's filler for cells a short row lacks
+                raise DataError(f"{csv_path} row {lineno}: missing value for {col}")
         try:
             class_id = int(row[id_col])
         except ValueError:
@@ -209,15 +186,12 @@ def _load_csv_manifest(root, csv_path, audio_path_for, cols, class_col, id_col, 
         clip = audio_path_for(row)
         if not clip.is_file():
             raise DataError(f"{csv_path} row {lineno}: referenced file not found: {clip}")
-        raw_records.append((str(clip), class_id, name, fold))
+        raw_records.append((str(clip), class_id, fold))
     ordered_ids = sorted(names_by_id)
     remap = {cid: i for i, cid in enumerate(ordered_ids)}
     class_names = tuple(names_by_id[cid] for cid in ordered_ids)
-    records = tuple(
-        ClipRecord(p, remap[cid], name, fold, _probe_duration(Path(p)))
-        for p, cid, name, fold in sorted(raw_records)
-    )
-    return DatasetManifest(records, class_names, source)
+    records = tuple(ClipRecord(p, remap[cid], fold) for p, cid, fold in sorted(raw_records))
+    return DatasetManifest(records, class_names)
 
 
 def load_manifest(root: str | Path, source: str) -> DatasetManifest:
@@ -231,25 +205,21 @@ def load_manifest(root: str | Path, source: str) -> DatasetManifest:
         raise DataError(f"dataset root not found: {root}")
     if source == "urbansound8k":
         return _load_csv_manifest(
-            root,
             root / "metadata" / "UrbanSound8K.csv",
             lambda row: root / "audio" / f"fold{int(row['fold'])}" / row["slice_file_name"],
             ["slice_file_name", "fold", "classID", "class"],
             "class",
             "classID",
             URBANSOUND8K_NUM_CLASSES,
-            source,
         )
     if source == "esc50":
         return _load_csv_manifest(
-            root,
             root / "meta" / "esc50.csv",
             lambda row: root / "audio" / row["filename"],
             ["filename", "fold", "target", "category"],
             "category",
             "target",
             ESC50_NUM_CLASSES,
-            source,
         )
     if source == "folder_per_class":
         class_dirs = sorted(d for d in root.iterdir() if d.is_dir())
@@ -261,14 +231,11 @@ def load_manifest(root: str | Path, source: str) -> DatasetManifest:
                 continue
             label = len(class_names)
             class_names.append(directory.name)
-            for clip in clips:
-                records.append(
-                    ClipRecord(str(clip), label, directory.name, None, _probe_duration(clip))
-                )
+            records.extend(ClipRecord(str(clip), label, None) for clip in clips)
         if not class_names:
             raise DataError(f"no class directories with .wav files under {root}")
         records.sort(key=lambda r: r.path)
-        return DatasetManifest(tuple(records), tuple(class_names), source)
+        return DatasetManifest(tuple(records), tuple(class_names))
     raise DataError(f"unknown dataset source kind {source!r}")
 
 

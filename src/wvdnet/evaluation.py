@@ -158,28 +158,20 @@ class StreamPrediction:
     probabilities: np.ndarray
 
 
-def stream_infer(
-    net: Network,
-    signal: Signal,
-    cfg: RunConfig,
-    window_s: float | None = None,
-    stride_s: float | None = None,
-) -> list[StreamPrediction]:
+def stream_infer(net: Network, signal: Signal, cfg: RunConfig) -> list[StreamPrediction]:
     """Classify overlapping windows of a long signal, ordered by start time.
 
     Windows start at 0, stride, 2*stride, ... while they fit entirely inside
     the signal; each window runs the full preprocessing chain independently.
     """
-    window_s = cfg.window_seconds if window_s is None else window_s
-    stride_s = cfg.stride_seconds if stride_s is None else stride_s
     rate = signal.sample_rate_hz
-    win = round(window_s * rate)
-    hop = round(stride_s * rate)
+    win = round(cfg.window_seconds * rate)
+    hop = round(cfg.stride_seconds * rate)
     if win < 2 or hop < 1:
         raise ValueError("window and stride must span at least a few samples")
     if len(signal) < win:
         raise ValueError(
-            f"signal is {signal.duration_s:.3f} s but one window needs {window_s:.3f} s"
+            f"signal is {signal.duration_s:.3f} s but one window needs {cfg.window_seconds:.3f} s"
         )
     predictions = []
     work = {}

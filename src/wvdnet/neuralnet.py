@@ -659,10 +659,19 @@ def train(
 # -- checkpoint format -------------------------------------------------------
 
 
+def _names_fit(class_names, num_classes: int) -> bool:
+    """A checkpoint's class names: a list of str naming none or every class."""
+    return (isinstance(class_names, list) and len(class_names) in (0, num_classes)
+            and all(isinstance(name, str) for name in class_names))
+
+
 def save_checkpoint(net: Network, class_names=None) -> bytes:
     """Versioned binary: magic, version, JSON header, float32 LE tensors.
     Each tensor's buffer is joined in once, without an intermediate copy."""
-    header = {"network": net.config.to_dict(), "class_names": list(class_names or [])}
+    class_names = list(class_names or [])
+    if not _names_fit(class_names, net.config.num_classes):
+        raise ValueError(f"class_names must be 0 or {net.config.num_classes} strings")
+    header = {"network": net.config.to_dict(), "class_names": class_names}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     params = net.param_arrays()
     parts = [
@@ -703,9 +712,14 @@ def load_checkpoint(blob: bytes):
         raise ValueError("malformed checkpoint header: not a JSON object with a 'network' entry")
     try:
         net = Network(NetworkConfig.from_dict(header["network"]), dtype=np.float32)
-        class_names = list(header.get("class_names", []))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed checkpoint header: {type(exc).__name__} {exc}") from None
+    class_names = header.get("class_names", [])
+    if not _names_fit(class_names, net.config.num_classes):
+        raise ValueError(
+            f"malformed checkpoint header: 'class_names' is not 0 or "
+            f"{net.config.num_classes} strings"
+        )
     params = net.param_arrays()
     (count,) = struct.unpack("<I", read(4, "parameter count"))
     if count != len(params):

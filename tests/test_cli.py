@@ -8,7 +8,7 @@ from wvdnet.cli import _config_from_args, build_parser, main
 from wvdnet.config import RunConfig, build_config
 from wvdnet.errors import ConfigError
 from wvdnet.datasets import write_wav_pcm16
-from wvdnet.neuralnet import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+from wvdnet.neuralnet import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, reference_config
 from wvdnet.tfd import image_from_csv
 
 BASE_FLAGS = [
@@ -161,7 +161,13 @@ class TestStreamCommand:
         code = main(["stream", str(wav), "--out", str(workspace["store"])] + BASE_FLAGS)
         assert code == 2
 
-    @pytest.mark.parametrize("header", [b"{}", b"[1, 2]"])
+    @pytest.mark.parametrize("header", [
+        b"{}",
+        b"[1, 2]",
+        # a 3-class network whose header names one class
+        json.dumps({"network": reference_config((1, 64, 64), 3).to_dict(),
+                    "class_names": ["a"]}).encode(),
+    ])
     def test_malformed_checkpoint_header_exits_2(self, workspace, tmp_path, capsys, header):
         wav = tmp_path / "long.wav"
         write_wav_pcm16(wav, np.zeros(20000), 4000.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import peak_rss_growth
 
+from wvdnet import datasets
 from wvdnet.config import RunConfig, build_config
 from wvdnet.datasets import (
     DatasetManifest,
@@ -15,7 +16,6 @@ from wvdnet.datasets import (
     load_manifest,
     load_store,
     preprocess_dataset,
-    probe_wav,
     split_indices,
     write_wav_pcm16,
 )
@@ -138,32 +138,21 @@ class TestDecodeWav:
         assert len(back) == 1
         # write scales by 32767, read by 1/32768: error <= (0.5 + |x|) / 32768
         np.testing.assert_allclose(back[0].samples, samples, atol=1.6 / 32768)
-        rate, channels, frames = probe_wav(path)
-        assert (rate, channels, frames) == (4000.0, 1, 50)
 
 
-# Headers that decode_wav rejects: the probe must reject each one too, with
-# the same message, and the manifest must then leave the duration unknown.
+# Headers that decode_wav rejects, each with the message that names why.
 REJECTED_HEADERS = {
-    "pcm24": wav_bytes(b"\x00" * 6, bits=24),
-    "format-tag-2": wav_bytes(pcm16(1, 2), fmt_tag=2),
-    "data-overruns-file": wav_bytes(pcm16(1, 2, 3))[:-2],
+    "pcm24": (wav_bytes(b"\x00" * 6, bits=24), "bit depth 24"),
+    "format-tag-2": (wav_bytes(pcm16(1, 2), fmt_tag=2), "audio format tag 2.*'fmt '"),
+    "data-overruns-file": (wav_bytes(pcm16(1, 2, 3))[:-2], "truncated 'data' chunk"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REJECTED_HEADERS))
-def test_probe_rejects_what_decode_rejects(tmp_path, name):
-    blob = REJECTED_HEADERS[name]
-    path = tmp_path / "cls" / "clip.wav"
-    path.parent.mkdir()
-    path.write_bytes(blob)
-    with pytest.raises(DataError) as decoded:
+def test_decode_rejects_header(name):
+    blob, message = REJECTED_HEADERS[name]
+    with pytest.raises(DataError, match=message):
         decode_wav(blob)
-    with pytest.raises(DataError) as probed:
-        probe_wav(path)
-    assert str(probed.value) == str(decoded.value)
-    (record,) = load_manifest(tmp_path, "folder_per_class").records
-    assert record.duration_s is None
 
 
 def make_folder_dataset(root, spec, rate=4000.0, seconds=0.5, seed=0):
@@ -187,7 +176,6 @@ class TestFolderManifest:
         assert manifest.class_names == ("aav", "dragon_wagon")
         assert [r.label for r in manifest.records] == [0, 1, 1]
         assert all(r.fold is None for r in manifest.records)
-        assert all(abs(r.duration_s - 0.5) < 1e-9 for r in manifest.records)
 
     def test_records_sorted_by_path(self, tmp_path):
         make_folder_dataset(tmp_path, {"b": 2, "a": 2})
@@ -206,9 +194,26 @@ class TestFolderManifest:
     def test_unreadable_clip_has_unknown_duration(self, tmp_path):
         make_folder_dataset(tmp_path, {"ok": 1})
         (tmp_path / "ok" / "junk.wav").write_bytes(b"this is not audio at all")
-        durations = {Path(r.path).name: r.duration_s
-                     for r in load_manifest(tmp_path, "folder_per_class").records}
-        assert durations == {"clip_000.wav": pytest.approx(0.5), "junk.wav": None}
+        names = [Path(r.path).name for r in load_manifest(tmp_path, "folder_per_class").records]
+        assert names == ["clip_000.wav", "junk.wav"]
+
+
+@pytest.mark.parametrize("source", ["folder_per_class", "esc50"])
+def test_manifest_opens_no_clip(tmp_path, monkeypatch, source):
+    """Clips are read once, by preprocessing; listing them opens none."""
+    if source == "esc50":
+        make_esc50_layout(tmp_path)
+    else:
+        make_folder_dataset(tmp_path, {"a": 2, "b": 1})
+    opened = []
+
+    def recording_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(datasets, "open", recording_open, raising=False)
+    assert len(load_manifest(tmp_path, source)) > 0
+    assert not [path for path in opened if path.endswith(".wav")]
 
 
 def make_urbansound_layout(root, rows):
@@ -256,6 +261,13 @@ class TestUrbanSoundManifest:
         with pytest.raises(DataError, match="missing required columns"):
             load_manifest(tmp_path, "urbansound8k")
 
+    def test_short_row_rejected(self, tmp_path):
+        make_urbansound_layout(tmp_path, [("a.wav", 1, 0, "air_conditioner", True)])
+        with open(tmp_path / "metadata" / "UrbanSound8K.csv", "a") as handle:
+            handle.write("b.wav,1\n")
+        with pytest.raises(DataError, match="row 3: missing value for fold"):
+            load_manifest(tmp_path, "urbansound8k")
+
 
 def make_esc50_layout(root, n_classes=5, clips_per_class=2):
     (root / "meta").mkdir(parents=True)
@@ -286,6 +298,13 @@ class TestEsc50Manifest:
             "filename,fold,target,category\nx.wav,1,50,beyond\n"
         )
         with pytest.raises(DataError, match="out of range 0..49"):
+            load_manifest(tmp_path, "esc50")
+
+    def test_short_row_rejected(self, tmp_path):
+        make_esc50_layout(tmp_path, n_classes=1, clips_per_class=1)
+        with open(tmp_path / "meta" / "esc50.csv", "a") as handle:
+            handle.write("x.wav,1\n")
+        with pytest.raises(DataError, match="row 3: missing value for target"):
             load_manifest(tmp_path, "esc50")
 
 
@@ -362,7 +381,7 @@ class TestSplits:
 
 class TestPreprocess:
     def test_empty_manifest_gives_empty_store(self, tmp_path):
-        manifest = DatasetManifest((), ("only",), "folder_per_class")
+        manifest = DatasetManifest((), ("only",))
         cfg = build_config({}, SMALL_CFG)
         summary = preprocess_dataset(manifest, cfg, tmp_path / "store")
         assert summary == {"written": 0, "skipped": 0}

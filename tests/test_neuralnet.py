@@ -731,6 +731,11 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="trailing"):
             load_checkpoint(save_checkpoint(net) + b"\x00")
 
+    @pytest.mark.parametrize("names", [["a"], ["a", "b", "c", "d"]])
+    def test_save_refuses_wrong_class_count(self, names):
+        with pytest.raises(ValueError, match="class_names must be 0 or 3 strings"):
+            save_checkpoint(Network(small_config()), names)
+
     def test_bytes_are_pinned(self):
         blob = save_checkpoint(Network(small_config(seed=0)), ["a", "b", "c"])
         assert hashlib.sha256(blob).hexdigest() == (
@@ -747,6 +752,9 @@ class TestCheckpoint:
         {"network": {"layers": [{"type": "conv2d"}], "input_shape": [1, 16, 16],
                      "num_classes": 3, "seed": 0}},
         {"network": small_config().to_dict(), "class_names": 5},
+        {"network": small_config().to_dict(), "class_names": "xyz"},
+        {"network": small_config().to_dict(), "class_names": ["x"]},
+        {"network": small_config().to_dict(), "class_names": [1, 2, 3]},
     ])
     def test_malformed_header_rejected(self, header):
         blob = save_checkpoint(Network(small_config()))
