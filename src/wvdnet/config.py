@@ -143,21 +143,14 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("vote_windows must be 1 or an odd integer > 1")
 
 
-def config_lines(cfg: RunConfig) -> str:
-    """Canonical `key = value` rendering, keys sorted."""
-    items = sorted(dataclasses.asdict(cfg).items())
-    return "\n".join(f"{k} = {v}" for k, v in items) + "\n"
-
-
 # Location keys are excluded from the hash: the digest identifies what was
 # computed, so identical runs in different directories stay byte-identical.
 _UNHASHED_KEYS = ("dataset_root", "out_dir")
 
 
 def config_hash(cfg: RunConfig) -> str:
+    """Digest of the canonical `key = value` lines, keys sorted."""
     lines = "\n".join(
-        line
-        for line in config_lines(cfg).splitlines()
-        if line.split(" = ")[0] not in _UNHASHED_KEYS
+        f"{k} = {v}" for k, v in sorted(dataclasses.asdict(cfg).items()) if k not in _UNHASHED_KEYS
     )
     return hashlib.sha256(lines.encode()).hexdigest()[:16]

@@ -226,7 +226,7 @@ def load_manifest(root: str | Path, source: str) -> DatasetManifest:
         records = []
         class_names = []
         for directory in class_dirs:
-            clips = sorted(directory.glob("*.wav"))
+            clips = sorted(p for p in directory.iterdir() if p.suffix.lower() == ".wav")
             if not clips:
                 continue
             label = len(class_names)

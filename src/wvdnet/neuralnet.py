@@ -11,16 +11,22 @@ followed by relu and 2x2 max-pooling), then flatten, dropout, a 500-unit
 hidden layer with relu and dropout, and the class logits. On a 1x300x300
 input the flatten width is 87,616.
 
+Every layer reads the same way: `params` names the arrays whose gradients
+backward leaves in `grad_<param>` (none for the layers without weights), and
+`_cache` holds what backward needs from the last forward.
+
 Network runs its conv blocks, the leading run of Conv2d, ReLU and MaxPool2d
 layers, one sample at a time: each sample goes through every block before
 the next sample starts, so only one sample's conv output, and in backward
-only one sample's conv-output gradient, exists at a time. For backward each
-block layer keeps, per sample, its padded input (Conv2d), uint8 tap index
-(MaxPool2d) or mask (ReLU). The layers from the first Flatten, Dropout or
-Linear on run on the whole batch; dropout draws one mask per batch. Backward
-runs that head at batch size, then the blocks in reverse for samples 0..B-1,
-and each conv adds up its samples' parameter gradients in that order, as
-Conv2d.backward does within a batch, so both give the same bits. Conv2d
+only one sample's conv-output gradient, exists at a time. Block layers keep
+their per-sample state in `_cache`, which Network saves after each sample's
+forward and puts back before its backward: the padded input (Conv2d), the
+uint8 tap index (MaxPool2d) or the mask (ReLU). The layers from the first
+Flatten, Dropout or Linear on run on the whole batch; dropout draws one mask
+per batch. Backward runs that head at batch size, then the blocks in reverse
+for samples 0..B-1, and each block layer with params adds up its samples'
+parameter gradients in that order, as Conv2d.backward does within a batch,
+so both give the same bits. Conv2d
 builds im2col columns one sample at a time, and the SGD update scales the
 gradient, the velocity and the weights in place.
 
@@ -50,11 +56,22 @@ _INIT_CHUNK = 1 << 20  # float64 draws per chunk of Linear's weight init
 # -- layer implementations ---------------------------------------------------
 
 
-class Conv2d:
+class Layer:
+    """What Network reads of every layer: the names of the parameters whose
+    gradients backward leaves in grad_<param>, and _cache, the state forward
+    keeps for backward."""
+
+    params = ()
+    _cache = None
+
+
+class Conv2d(Layer):
     """2D cross-correlation with zero padding, one sample at a time: each
     sample's im2col columns go into one reused (c*kh*kw, hout*wout)
     workspace that feeds a single matmul. Forward caches only the padded
     input; backward rebuilds each sample's columns from it."""
+
+    params = ("weight", "bias")
 
     def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, dtype=np.float32, rng=None):
         self.in_ch = in_ch
@@ -68,7 +85,6 @@ class Conv2d:
             rng = np.random.default_rng(0)
         self.weight = rng.uniform(-bound, bound, size=(out_ch, in_ch, self.kh, self.kw)).astype(dtype)
         self.bias = np.zeros(out_ch, dtype=dtype)
-        self._cache = None
 
     def _pad(self, x):
         """Check the geometry; returns the zero-padded input and hout, wout."""
@@ -141,11 +157,8 @@ class Conv2d:
             return None
         return gx[:, :, p : p + h, p : p + w] if p else gx
 
-    def parameters(self):
-        return [("weight", self), ("bias", self)]
 
-
-class MaxPool2d:
+class MaxPool2d(Layer):
     """Per-window max with floor-mode output size; a NaN anywhere in a window
     makes that output NaN. Ties go to the first element in the window's
     row-major scan, and backward keeps one uint8 index of that tap per output."""
@@ -155,7 +168,6 @@ class MaxPool2d:
             raise ValueError(f"pooling kernel must be in [1, 16], got {kernel}")
         self.kernel = kernel
         self.stride = stride
-        self._cache = None
 
     def _taps(self, x, hout, wout):
         """One strided view of x per window position, each shaped like the output."""
@@ -190,11 +202,8 @@ class MaxPool2d:
             tap += grad_out * (which == q)
         return gx
 
-    def parameters(self):
-        return []
 
-
-class ReLU:
+class ReLU(Layer):
     def forward(self, x, train=False):
         self._cache = x > 0
         return x * self._cache
@@ -202,11 +211,8 @@ class ReLU:
     def backward(self, grad_out):
         return grad_out * self._cache
 
-    def parameters(self):
-        return []
 
-
-class Dropout:
+class Dropout(Layer):
     """Inverted dropout: each activation is zeroed with probability p at train
     time and survivors scale by 1/(1-p); eval mode is the identity."""
 
@@ -215,40 +221,31 @@ class Dropout:
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.mask = None
 
     def forward(self, x, train=False, mask_override=None):
-        if mask_override is not None:
-            self.mask = mask_override
-        elif train and self.p > 0:
-            self.mask = (self.rng.random(x.shape) >= self.p).astype(x.dtype)
-        else:
-            self.mask = None
-            return x
-        return x * self.mask / (1.0 - self.p)
+        mask = mask_override
+        if mask is None and train and self.p > 0:
+            mask = (self.rng.random(x.shape) >= self.p).astype(x.dtype)
+        self._cache = mask
+        return x if mask is None else x * mask / (1.0 - self.p)
 
     def backward(self, grad_out):
-        if self.mask is None:
-            return grad_out
-        return grad_out * self.mask / (1.0 - self.p)
-
-    def parameters(self):
-        return []
+        mask = self._cache
+        return grad_out if mask is None else grad_out * mask / (1.0 - self.p)
 
 
-class Flatten:
+class Flatten(Layer):
     def forward(self, x, train=False):
-        self.in_shape = x.shape
+        self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out):
-        return grad_out.reshape(self.in_shape)
-
-    def parameters(self):
-        return []
+        return grad_out.reshape(self._cache)
 
 
-class Linear:
+class Linear(Layer):
+    params = ("weight", "bias")
+
     def __init__(self, in_features, out_features, dtype=np.float32, rng=None):
         self.in_features = in_features
         self.out_features = out_features
@@ -269,41 +266,37 @@ class Linear:
             raise ValueError(
                 f"linear layer expects [batch, {self.in_features}], got {x.shape}"
             )
-        self._x = x
+        self._cache = x
         return x @ self.weight.T + self.bias
 
     def backward(self, grad_out, input_grad=True):
-        self.grad_weight = grad_out.T @ self._x
+        self.grad_weight = grad_out.T @ self._cache
         self.grad_bias = grad_out.sum(axis=0)
         return grad_out @ self.weight if input_grad else None
 
-    def parameters(self):
-        return [("weight", self), ("bias", self)]
 
-
-def softmax_cross_entropy(logits, label):
-    """Loss and logit gradient for one sample; grad = softmax - onehot."""
-    logits = np.asarray(logits, dtype=np.float64)
-    k = logits.shape[-1]
-    if not 0 <= label < k:
-        raise ValueError(f"label {label} out of range for {k} classes")
-    shifted = logits - logits.max()
-    logsumexp = np.log(np.exp(shifted).sum())
-    loss = float(logsumexp - shifted[label])
-    grad = np.exp(shifted - logsumexp)
-    grad[label] -= 1.0
-    return loss, grad
-
-
-def _batch_softmax_cross_entropy(logits, labels):
-    """Mean loss over a batch and the gradient of that mean."""
-    z = logits.astype(np.float64)
+def softmax_cross_entropy(logits, labels):
+    """Mean loss over a batch ([B, K] logits, B labels) or one sample ([K]
+    logits, one label), and the gradient of that mean, (softmax - onehot) / B,
+    in the logits' dtype and shape. Integer logits count as float64."""
+    logits = np.asarray(logits)
+    if logits.dtype.kind != "f":
+        logits = logits.astype(np.float64)
+    z = np.atleast_2d(logits).astype(np.float64)
+    labels = np.atleast_1d(labels)
+    b, k = z.shape
+    if len(labels) != b:
+        raise ValueError(f"{len(labels)} labels for {b} rows of logits")
+    bad = labels[(labels < 0) | (labels >= k)]
+    if len(bad):
+        raise ValueError(f"label {bad[0]} out of range for {k} classes")
+    rows = np.arange(b)
     shifted = z - z.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    losses = logsumexp[:, 0] - shifted[np.arange(len(labels)), labels]
+    losses = logsumexp[:, 0] - shifted[rows, labels]
     grad = np.exp(shifted - logsumexp)
-    grad[np.arange(len(labels)), labels] -= 1.0
-    return float(losses.mean()), (grad / len(labels)).astype(logits.dtype)
+    grad[rows, labels] -= 1.0
+    return float(losses.mean()), (grad / b).astype(logits.dtype).reshape(logits.shape)
 
 
 # -- network assembly --------------------------------------------------------
@@ -412,7 +405,7 @@ def _backward(layer, grad_out, first):
     gradient, and a first layer without parameters is skipped."""
     if not first:
         return layer.backward(grad_out)
-    if layer.parameters():
+    if layer.params:
         layer.backward(grad_out, input_grad=False)
     return None
 
@@ -490,38 +483,36 @@ class Network:
         g = grad_logits
         for layer in reversed(head):
             g = _backward(layer, g, layer is first)
-        sums = {}  # conv -> its (grad_weight, grad_bias) summed over samples so far
+        sums = {}  # block layer -> its parameter gradients summed over samples so far
         for n in range(len(g) if self._blocks else 0):
             h = g[n : n + 1]
             for layer, caches in zip(reversed(self._blocks), reversed(self._caches)):
                 layer._cache = caches[n]
                 h = _backward(layer, h, layer is first)
-                if not isinstance(layer, Conv2d):
-                    continue
+                grads = [getattr(layer, "grad_" + name) for name in layer.params]
                 if n:
-                    gw, gb = sums[layer]
-                    gw += layer.grad_weight
-                    gb += layer.grad_bias
+                    for total, grad in zip(sums[layer], grads):
+                        total += grad
                 else:
-                    sums[layer] = (layer.grad_weight, layer.grad_bias)
-        for layer, (gw, gb) in sums.items():
-            layer.grad_weight, layer.grad_bias = gw, gb
+                    sums[layer] = grads
+        for layer, grads in sums.items():
+            for name, grad in zip(layer.params, grads):
+                setattr(layer, "grad_" + name, grad)
 
     def drop_state(self):
         """Drop every layer's gradients and the last pass's backward state,
         keeping only the weights. A later forward and backward refill them."""
         self._caches = None
         for layer in self.layers:
-            for attr in ("grad_weight", "grad_bias", "_cache", "_x", "mask"):
-                if hasattr(layer, attr):
-                    setattr(layer, attr, None)
+            # gradients first: under glibc malloc the other order leaves the
+            # freed state resident and raised train-300's peak RSS by 100 MB
+            for name in layer.params:
+                setattr(layer, "grad_" + name, None)
+            layer._cache = None
 
     def param_arrays(self):
-        out = []
-        for layer in self.layers:
-            for name, owner in layer.parameters():
-                out.append((owner, name))
-        return out
+        """(layer, name) of every parameter, in layer order."""
+        return [(layer, name) for layer in self.layers for name in layer.params]
 
     def snapshot(self):
         return [getattr(owner, name).copy() for owner, name in self.param_arrays()]
@@ -630,7 +621,7 @@ def train(
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             logits = net.forward(train_images[batch], train=True)
-            loss, grad = _batch_softmax_cross_entropy(logits, train_labels[batch])
+            loss, grad = softmax_cross_entropy(logits, train_labels[batch])
             net.backward(grad)
             losses.append(loss)
             for vel, (owner, name) in zip(velocity, net.param_arrays()):
@@ -707,12 +698,11 @@ def load_checkpoint(blob: bytes):
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     (hlen,) = struct.unpack("<I", read(4, "header length"))
-    header = json.loads(bytes(read(hlen, "header")))
-    if not isinstance(header, dict) or "network" not in header:
-        raise ValueError("malformed checkpoint header: not a JSON object with a 'network' entry")
-    try:
+    header_bytes = bytes(read(hlen, "header"))
+    try:  # undecodable JSON, a missing or mistyped entry, or layers that do not chain
+        header = json.loads(header_bytes)
         net = Network(NetworkConfig.from_dict(header["network"]), dtype=np.float32)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed checkpoint header: {type(exc).__name__} {exc}") from None
     class_names = header.get("class_names", [])
     if not _names_fit(class_names, net.config.num_classes):

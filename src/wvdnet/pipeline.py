@@ -39,8 +39,6 @@ MAX_RAW_TIME_ROWS = 1200
 
 def working_rate_hz(cfg: RunConfig, source_rate_hz: float) -> float:
     """Rate the clip is actually processed at (integer-ratio snapping)."""
-    if source_rate_hz <= cfg.target_rate_hz:
-        return source_rate_hz
     return snap_decimation_rate(source_rate_hz, cfg.target_rate_hz)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wvdnet.cli import _config_from_args, build_parser, main
-from wvdnet.config import RunConfig, build_config
+from wvdnet.config import RunConfig, build_config, config_hash
 from wvdnet.errors import ConfigError
 from wvdnet.datasets import write_wav_pcm16
 from wvdnet.neuralnet import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, reference_config
@@ -318,6 +318,20 @@ class TestConfigFile:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("epochs 5\n")
         assert main(["synth", "--config", str(cfg_file)]) == 1
+
+
+class TestConfigHash:
+    @pytest.mark.parametrize("overrides,digest", [
+        ({}, "bd7d0934bbbfdbd3"),
+        ({"workers": 4}, "654d85d21d25282e"),
+        ({"epochs": 60}, "d18e9f8ab4e78f2a"),
+    ])
+    def test_digests_are_pinned(self, overrides, digest):
+        assert config_hash(RunConfig(**overrides)) == digest
+
+    def test_locations_do_not_count(self, tmp_path):
+        moved = RunConfig(dataset_root=str(tmp_path / "data"), out_dir=str(tmp_path / "out"))
+        assert config_hash(moved) == config_hash(RunConfig())
 
 
 class TestBoolValues:

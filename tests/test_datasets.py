@@ -197,6 +197,15 @@ class TestFolderManifest:
         names = [Path(r.path).name for r in load_manifest(tmp_path, "folder_per_class").records]
         assert names == ["clip_000.wav", "junk.wav"]
 
+    def test_suffix_case_is_ignored(self, tmp_path):
+        make_folder_dataset(tmp_path, {"ok": 1})
+        clip = tmp_path / "ok" / "clip_000.wav"
+        for name in ("A.WAV", "b.Wav"):
+            (tmp_path / "ok" / name).write_bytes(clip.read_bytes())
+        (tmp_path / "ok" / "notes.txt").write_text("not a clip")
+        names = [Path(r.path).name for r in load_manifest(tmp_path, "folder_per_class").records]
+        assert names == ["A.WAV", "b.Wav", "clip_000.wav"]
+
 
 @pytest.mark.parametrize("source", ["folder_per_class", "esc50"])
 def test_manifest_opens_no_clip(tmp_path, monkeypatch, source):

@@ -27,7 +27,6 @@ from wvdnet.neuralnet import (
     save_checkpoint,
     softmax_cross_entropy,
     train,
-    _batch_softmax_cross_entropy,
 )
 
 RNG = np.random.default_rng(1234)
@@ -362,13 +361,39 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(ValueError, match="out of range"):
             softmax_cross_entropy(np.zeros(3), 3)
 
+    @pytest.mark.parametrize("labels", [[0, 3], [-1, 0]])
+    def test_batch_label_out_of_range_rejected(self, labels):
+        with pytest.raises(ValueError, match="out of range"):
+            softmax_cross_entropy(np.zeros((2, 3)), np.array(labels))
+
     def test_batch_version_averages(self):
         logits = RNG.standard_normal((4, 5))
         labels = np.array([0, 2, 4, 1])
-        loss, grad = _batch_softmax_cross_entropy(logits, labels)
+        loss, grad = softmax_cross_entropy(logits, labels)
         singles = [softmax_cross_entropy(logits[i], labels[i]) for i in range(4)]
         assert loss == pytest.approx(np.mean([s[0] for s in singles]))
         np.testing.assert_allclose(grad, np.stack([s[1] for s in singles]) / 4, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_sample_is_its_batch_of_one(self, dtype):
+        logits = RNG.standard_normal(6).astype(dtype)
+        loss, grad = softmax_cross_entropy(logits, 5)
+        batch_loss, batch_grad = softmax_cross_entropy(logits[None], np.array([5]))
+        assert loss == batch_loss
+        assert grad.shape == logits.shape and grad.dtype == dtype
+        assert grad.tobytes() == batch_grad.tobytes()
+
+    def test_gradient_keeps_the_logits_dtype(self):
+        logits = RNG.standard_normal((3, 4)).astype(np.float32)
+        _, grad = softmax_cross_entropy(logits, np.array([0, 1, 3]))
+        assert grad.dtype == np.float32 and grad.shape == (3, 4)
+        _, grad = softmax_cross_entropy([0, 0, 0], 1)  # integer logits count as float64
+        assert grad.dtype == np.float64
+        np.testing.assert_allclose(grad, [1 / 3, -2 / 3, 1 / 3])
+
+    def test_label_count_must_match_batch(self):
+        with pytest.raises(ValueError, match="labels for"):
+            softmax_cross_entropy(np.zeros((2, 3)), np.array([0]))
 
 
 def small_config(seed=0, classes=3):
@@ -489,8 +514,8 @@ def reference_train(config, images, labels, cfg, eval_images, eval_labels):
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss, grad = _batch_softmax_cross_entropy(net.forward(images[batch], train=True),
-                                                      labels[batch])
+            loss, grad = softmax_cross_entropy(net.forward(images[batch], train=True),
+                                               labels[batch])
             net.backward(grad)
             losses.append(loss)
             for vel, (owner, name) in zip(velocity, net.param_arrays()):
@@ -553,11 +578,11 @@ class TestTraining:
         images, labels = small_dataset(n=8)
         images = images.astype(np.float64)
         logits = net.forward(images, train=False)
-        loss_before, grad = _batch_softmax_cross_entropy(logits, labels)
+        loss_before, grad = softmax_cross_entropy(logits, labels)
         net.backward(grad)
         for owner, name in net.param_arrays():
             setattr(owner, name, getattr(owner, name) - 1e-5 * getattr(owner, "grad_" + name))
-        loss_after, _ = _batch_softmax_cross_entropy(net.forward(images, train=False), labels)
+        loss_after, _ = softmax_cross_entropy(net.forward(images, train=False), labels)
         assert loss_after < loss_before
 
     def test_empty_dataset_rejected(self):
@@ -630,6 +655,15 @@ class TestTrainedNetwork:
         assert held_state(net) == []
         assert held_state(kept)  # the twin does hold them
 
+    def test_every_layer_cache_and_gradient_is_dropped(self, trained_pair):
+        net, kept = trained_pair
+        for layer in net.layers:
+            assert layer._cache is None, type(layer).__name__
+            for name in layer.params:
+                assert getattr(layer, "grad_" + name) is None
+        # the twin's Flatten still holds its input shape, a tuple held_state skips
+        assert any(isinstance(layer, Flatten) and layer._cache for layer in kept.layers)
+
     def test_checkpoint_is_byte_identical_to_the_twin(self, trained_pair):
         net, kept = trained_pair
         assert save_checkpoint(net, ["x", "y", "z"]) == save_checkpoint(kept, ["x", "y", "z"])
@@ -648,7 +682,7 @@ class TestTrainedNetwork:
         grads = []
         for net in trained_pair:
             logits = net.forward(images, train=True)
-            net.backward(_batch_softmax_cross_entropy(logits, labels)[1])
+            net.backward(softmax_cross_entropy(logits, labels)[1])
             grads.append([getattr(owner, "grad_" + name) for owner, name in net.param_arrays()])
         for (owner, name), got, want in zip(trained_pair[0].param_arrays(), *grads):
             assert got.shape == getattr(owner, name).shape
@@ -755,11 +789,14 @@ class TestCheckpoint:
         {"network": small_config().to_dict(), "class_names": "xyz"},
         {"network": small_config().to_dict(), "class_names": ["x"]},
         {"network": small_config().to_dict(), "class_names": [1, 2, 3]},
+        {"network": {**small_config().to_dict(), "seed": "abc"}},
+        {"network": {**small_config().to_dict(), "num_classes": 4}},
+        b"{not json",
     ])
     def test_malformed_header_rejected(self, header):
         blob = save_checkpoint(Network(small_config()))
         (hlen,) = struct.unpack("<I", blob[8:12])
-        body = json.dumps(header).encode()
+        body = header if isinstance(header, bytes) else json.dumps(header).encode()
         with pytest.raises(ValueError, match="malformed checkpoint header"):
             load_checkpoint(blob[:8] + struct.pack("<I", len(body)) + body + blob[12 + hlen :])
 

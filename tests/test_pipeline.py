@@ -67,6 +67,13 @@ class TestWorkingRate:
     def test_low_rate_recording_never_decimated(self):
         assert working_rate_hz(cfg_with(), 4960.0) == 4960.0
 
+    @pytest.mark.parametrize("source,working", [
+        (8000.0, 4000.0), (11025.0, 5512.5), (22050.0, 4410.0), (48000.0, 4000.0),
+        (96000.0, 4000.0),
+    ])
+    def test_common_source_rates(self, source, working):
+        assert working_rate_hz(cfg_with(), source) == working
+
 
 class TestAutoTimeStride:
     def test_small_clips_keep_every_sample(self):
