@@ -44,8 +44,6 @@ def analytic_signal(signal: Signal, work: dict | None = None) -> ComplexSignal:
     equals the input to round-off. With work, the spectrum, the gain and the
     result live in it (see signal_core.work_array).
     """
-    if np.iscomplexobj(signal.samples):
-        raise ValueError("analytic_signal expects a real-valued input signal")
     n = len(signal)
     if n < 2:
         raise ValueError(f"analytic_signal needs at least 2 samples, got {n}")

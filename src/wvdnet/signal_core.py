@@ -34,6 +34,8 @@ class Signal:
     def __post_init__(self):
         if self.sample_rate_hz <= 0:
             raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if np.iscomplexobj(self.samples):
+            raise ValueError("samples must be real; pass complex samples to ComplexSignal")
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")

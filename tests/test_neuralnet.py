@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -262,6 +263,14 @@ class TestMaxPool:
             MaxPool2d(4, 4).forward(np.ones((1, 1, 2, 2)))
 
 
+def parts_of(monkeypatch, cores, chunk=None):
+    """Make _fill_uniform see `cores` available cores and, when given, a
+    smaller chunk, so small layers split into several parts."""
+    monkeypatch.setattr(neuralnet.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    if chunk is not None:
+        monkeypatch.setattr(neuralnet, "_INIT_CHUNK", chunk)
+
+
 class TestSimpleLayers:
     def test_relu_values(self):
         out = ReLU().forward(np.array([[-1.0, 0.0, 2.0]]))
@@ -288,12 +297,15 @@ class TestSimpleLayers:
         assert_grads_close(lin.grad_bias, numeric_gradient(loss, lin.bias))
         assert_grads_close(grad_in, numeric_gradient(loss, x))
 
-    def test_linear_init_matches_one_full_draw(self):
-        width = neuralnet._INIT_CHUNK // 3 + 1  # two rows per chunk, five rows
-        lin = Linear(width, 5, rng=np.random.default_rng(9))
+    def test_linear_init_matches_one_full_draw(self, monkeypatch):
+        parts_of(monkeypatch, 3)
+        width = neuralnet._INIT_CHUNK // 3 + 1  # five rows over three parts
+        rng, full_rng = np.random.default_rng(9), np.random.default_rng(9)
+        lin = Linear(width, 5, rng=rng)
         bound = np.sqrt(6.0 / width)
-        full = np.random.default_rng(9).uniform(-bound, bound, size=(5, width))
+        full = full_rng.uniform(-bound, bound, size=(5, width))
         assert lin.weight.tobytes() == full.astype(np.float32).tobytes()
+        assert rng.bit_generator.state == full_rng.bit_generator.state
 
     def test_linear_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="expects"):
@@ -339,6 +351,81 @@ class TestSimpleLayers:
     def test_invalid_dropout_probability_rejected(self):
         with pytest.raises(ValueError):
             Dropout(1.0)
+
+
+INIT_CASES = {
+    # chunk 1024 throughout: 7 rows of 1000 cover several chunks per part,
+    # and 3 and 4 parts do not divide 7 rows
+    "rows-over-parts": (lambda rng: Linear(1000, 7, rng=rng), np.random.PCG64),
+    "single-row": (lambda rng: Linear(5000, 1, rng=rng), np.random.PCG64),
+    "row-over-chunk": (lambda rng: Linear(3000, 5, rng=rng), np.random.PCG64),
+    "conv2d": (lambda rng: Conv2d(8, 40, 3, rng=rng), np.random.PCG64),
+    "pcg64dxsm": (lambda rng: Linear(1000, 7, rng=rng), np.random.PCG64DXSM),
+    "mt19937": (lambda rng: Linear(1000, 7, rng=rng), np.random.MT19937),
+    "philox": (lambda rng: Linear(1000, 7, rng=rng), np.random.Philox),
+}
+
+
+class TestWeightInit:
+    """Whatever the part count, a layer's weights and its rng's state after
+    construction equal those of one sequential rng.uniform draw."""
+
+    @staticmethod
+    def assert_matches_sequential(layer, rng, reference_rng):
+        bound = np.sqrt(6.0 / np.prod(layer.weight.shape[1:]))
+        expected = reference_rng.uniform(-bound, bound, size=layer.weight.shape)
+        assert layer.weight.tobytes() == expected.astype(np.float32).tobytes()
+        np.testing.assert_equal(rng.bit_generator.state, reference_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", sorted(INIT_CASES))
+    def test_matches_sequential_draw(self, monkeypatch, case, cores):
+        parts_of(monkeypatch, cores, chunk=1024)
+        make, bit_generator = INIT_CASES[case]
+        rng = np.random.Generator(bit_generator(17))
+        layer = make(rng)
+        self.assert_matches_sequential(layer, rng, np.random.Generator(bit_generator(17)))
+
+    def test_buffered_half_draw_survives(self, monkeypatch):
+        # a 32-bit draw leaves half of a 64-bit output buffered in the state
+        parts_of(monkeypatch, 4, chunk=1024)
+        rng, reference_rng = np.random.default_rng(4), np.random.default_rng(4)
+        for g in (rng, reference_rng):
+            g.integers(0, 10, dtype=np.uint32)
+        self.assert_matches_sequential(Linear(1000, 7, rng=rng), rng, reference_rng)
+
+    def test_threads_end_with_construction(self, monkeypatch):
+        parts_of(monkeypatch, 4, chunk=1024)
+        before = threading.active_count()
+        Linear(1000, 7, rng=np.random.default_rng(0))
+        assert threading.active_count() == before
+
+    def test_part_exception_reaches_caller(self, monkeypatch):
+        parts_of(monkeypatch, 4, chunk=1024)
+
+        class Failing(np.random.Generator):
+            def random(self, *args, **kwargs):
+                raise RuntimeError("draw failed")
+
+        rng = np.random.default_rng(0)
+        monkeypatch.setattr(np.random, "Generator", Failing)  # the pool parts' streams
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            Linear(1000, 7, rng=rng)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cores", [1, 4])
+    def test_float64_scratch_stays_within_one_chunk(self, monkeypatch, cores):
+        parts_of(monkeypatch, cores)
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            layer = Linear(2 * neuralnet._INIT_CHUNK + 3, 3, rng=np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # besides the float64 buffers: threads, futures and stream copies
+        scratch = peak - layer.weight.nbytes - (64 << 10)
+        assert scratch <= 8 * neuralnet._INIT_CHUNK, f"{scratch} bytes of scratch"
 
 
 class TestSoftmaxCrossEntropy:
@@ -799,6 +886,19 @@ class TestCheckpoint:
         body = header if isinstance(header, bytes) else json.dumps(header).encode()
         with pytest.raises(ValueError, match="malformed checkpoint header"):
             load_checkpoint(blob[:8] + struct.pack("<I", len(body)) + body + blob[12 + hlen :])
+
+    def test_load_draws_no_weights_and_keeps_the_stream(self, monkeypatch):
+        net = Network(small_config(seed=3))
+        blob = save_checkpoint(net)
+
+        def refuse(*args):
+            raise AssertionError("load_checkpoint drew weights it then overwrites")
+
+        monkeypatch.setattr(neuralnet, "_fill_uniform", refuse)
+        restored, _ = load_checkpoint(blob)
+        for a, b in zip(net.snapshot(), restored.snapshot()):
+            assert a.tobytes() == b.tobytes()
+        assert restored.rng.bit_generator.state == net.rng.bit_generator.state
 
     def test_load_peak_rss_stays_below_twice_fc1(self, tmp_path):
         net = Network(reference_config((1, 128, 128), 3))

@@ -1,7 +1,11 @@
+import hashlib
+
 import numpy as np
+import pytest
 
 from wvdnet.config import build_config
 from wvdnet.datasets import decode_wav
+from wvdnet.errors import ConfigError
 from wvdnet.synth import class_dir_name, generate_dataset
 
 
@@ -79,3 +83,54 @@ def test_class_dir_names_cycle():
     assert class_dir_name(1) == "1_chirp"
     assert class_dir_name(2) == "2_noise"
     assert class_dir_name(3) == "3_tone"
+
+
+def spectral_centroid_hz(clip):
+    signal = decode_wav(clip.read_bytes())[0]
+    power = np.abs(np.fft.rfft(signal.samples)) ** 2
+    freqs = np.fft.rfftfreq(len(signal.samples), 1 / signal.sample_rate_hz)
+    return float((freqs * power).sum() / power.sum())
+
+
+def test_second_cycle_classes_sit_150_hz_higher(tmp_path):
+    cfg = synth_cfg(tmp_path / "data", classes=6, per_class=8, seed=13)
+    generate_dataset(tmp_path / "data", cfg)
+    centroid = {
+        label: np.mean([spectral_centroid_hz(clip) for clip in
+                        sorted((tmp_path / "data" / class_dir_name(label)).glob("*.wav"))])
+        for label in range(6)
+    }
+    for label in (0, 1, 2):
+        assert 100 < centroid[label + 3] - centroid[label] < 200, centroid
+
+
+def test_first_three_classes_bytes_are_pinned(tmp_path):
+    # digest of classes 0-2 from the generator before the band shift reached
+    # the chirp and noise families: only classes 3 and up changed
+    generate_dataset(tmp_path / "data", synth_cfg(tmp_path / "data", classes=6, per_class=2))
+    digest = hashlib.sha256()
+    for label in range(3):
+        for clip in sorted((tmp_path / "data" / class_dir_name(label)).glob("*.wav")):
+            digest.update(clip.read_bytes())
+    assert digest.hexdigest() == "7256e168aede7bdc452e28759a428281fd9cbc4dd290460ab00474ba5cded608"
+
+
+def test_band_starting_at_nyquist_rejected(tmp_path):
+    # at 3200 Hz, class 5's noise low edge is drawn from 1450-1650 Hz, which
+    # reaches 1600 Hz; class 2's 1300-1500 Hz does not
+    cfg = synth_cfg(tmp_path / "data", classes=6, per_class=1)
+    cfg.synth_rate_hz = 3200.0
+    with pytest.raises(ConfigError, match="class 5"):
+        generate_dataset(tmp_path / "data", cfg)
+    assert not (tmp_path / "data").exists()
+    cfg.synth_classes = 5
+    assert generate_dataset(tmp_path / "data", cfg) == 5
+
+
+def test_class_whose_noise_band_can_sit_above_nyquist_rejected(tmp_path):
+    # class 14's noise low edge is drawn from 1900-2100 Hz; at 4 kHz a draw
+    # above 2000 Hz leaves an empty band and a clip of the noise floor alone
+    out = tmp_path / "data"
+    with pytest.raises(ConfigError, match="class 14"):
+        generate_dataset(out, synth_cfg(out, classes=15, per_class=1))
+    assert generate_dataset(out, synth_cfg(out, classes=14, per_class=1)) == 14
