@@ -26,9 +26,31 @@ Flatten, Dropout or Linear on run on the whole batch; dropout draws one mask
 per batch. Backward runs that head at batch size, then the blocks in reverse
 for samples 0..B-1, and each block layer with params adds up its samples'
 parameter gradients in that order, as Conv2d.backward does within a batch,
-so both give the same bits. Conv2d
-builds im2col columns one sample at a time, and the SGD update scales the
-gradient, the velocity and the weights in place.
+so both give the same bits. Conv2d builds im2col columns one sample at a
+time.
+
+MaxPool2d reads each tap view, one strided view of the input per window
+position, once in forward: the running max takes np.maximum(tap, max), which
+keeps the old max on a tie, and the uint8 tap index takes q wherever that
+rose (or a NaN entered), in uint8 arithmetic as max(index, q * rose). The
+last tap that raised the max is the first that matches it. Where the
+windows tile the input (stride == kernel, as in the reference net), backward
+writes each input element once: the bits of grad_out + 0.0 times
+(index == q), as same-width unsigned ints, which is what adding the taps
+into zeros gives, -0.0 turned +0.0 included. Overlapping or gapped windows
+add the taps into zeros.
+
+train() updates each parameter in place: the gradient is scaled by the
+learning rate, the velocity by the momentum, the velocity takes the
+gradient and the weight the velocity. A Linear weight's gradient is never
+formed whole: Network.backward leaves it to train(), which forms it
+_UPDATE_ROWS rows at a time through Linear.weight_grad, the function that
+forms the whole gradient for everyone else, and updates those rows before
+the next block. Each block is the matching rows of the whole product (every
+entry is the same dot product over the batch, which BLAS does not split by
+rows; the tests check the bits), and the elementwise update is the same, so
+the weights match a whole-gradient update bit for bit while no fc1-sized
+gradient (175 MB at 300x300) is allocated.
 
 Within the blocks, a ReLU that directly precedes a MaxPool2d runs after that
 pool, on a quarter of the elements. That is exact because relu is monotone:
@@ -70,6 +92,7 @@ from numpy.lib.stride_tricks import as_strided
 CHECKPOINT_MAGIC = b"WVDN"
 CHECKPOINT_VERSION = 1
 _INIT_CHUNK = 1 << 20  # float64 draws held at once by a weight init, over all its parts
+_UPDATE_ROWS = 16  # rows of a Linear weight gradient that train() forms at once
 
 
 # -- layer implementations ---------------------------------------------------
@@ -253,24 +276,42 @@ class MaxPool2d(Layer):
             raise ValueError(f"input {h}x{w} smaller than pooling window {k}x{k}")
         taps = self._taps(x, (h - k) // s + 1, (w - k) // s + 1)
         out = taps[0].copy()
-        for tap in taps[1:]:
+        nxt = np.empty_like(out)
+        rose = np.empty(out.shape, dtype=bool)
+        which = np.zeros(out.shape, dtype=np.uint8)
+        rose_q = np.empty_like(which)
+        for q, tap in enumerate(taps[1:], 1):
             # np.maximum returns its second operand on a tie, so the running
             # max keeps the first tap's bits when +0.0 and -0.0 tie
-            np.maximum(tap, out, out=out)
-        # first-match tap index = number of leading taps that miss the max
-        miss = taps[0] != out
-        which = miss.view(np.uint8).copy()
-        for tap in taps[1:-1]:
-            miss &= tap != out
-            which += miss.view(np.uint8)
+            np.maximum(tap, out, out=nxt)
+            # the max rose or a NaN entered: the last such tap is the first
+            # match, and a NaN window's index is the last tap
+            np.not_equal(nxt, out, out=rose)
+            np.multiply(rose.view(np.uint8), q, out=rose_q)
+            np.maximum(which, rose_q, out=which)
+            out, nxt = nxt, out
         self._cache = (x.shape, which)
         return out
 
     def backward(self, grad_out):
         x_shape, which = self._cache
-        gx = np.zeros(x_shape, dtype=grad_out.dtype)
-        for q, tap in enumerate(self._taps(gx, *which.shape[2:])):
-            tap += grad_out * (which == q)
+        hout, wout = which.shape[2:]
+        k = self.kernel
+        if self.stride != k:  # windows overlap or skip input: sum the taps
+            gx = np.zeros(x_shape, dtype=grad_out.dtype)
+            for q, tap in enumerate(self._taps(gx, hout, wout)):
+                tap += grad_out * (which == q)
+            return gx
+        # Windows tile the input, so each element gets one tap's value: the
+        # bits of grad_out + 0.0, or zero, as in a zero-filled sum (which
+        # also turns -0.0 into +0.0). Only the uncovered edge is zero-filled.
+        gx = np.empty(x_shape, dtype=grad_out.dtype)
+        gx[:, :, hout * k :] = 0
+        gx[:, :, : hout * k, wout * k :] = 0
+        bits = np.dtype(f"u{gx.itemsize}")
+        g = (grad_out + 0.0).view(bits)
+        for q, tap in enumerate(self._taps(gx, hout, wout)):
+            np.multiply(g, which == q, out=tap.view(bits))
         return gx
 
 
@@ -333,13 +374,24 @@ class Linear(Layer):
             raise ValueError(
                 f"linear layer expects [batch, {self.in_features}], got {x.shape}"
             )
-        self._cache = x
+        self._cache = (x, None)  # backward adds its output gradient
         return x @ self.weight.T + self.bias
 
-    def backward(self, grad_out, input_grad=True):
-        self.grad_weight = grad_out.T @ self._cache
+    def backward(self, grad_out, input_grad=True, weight_grad=True):
+        """Bias gradient, the input gradient unless input_grad is false, and
+        grad_weight unless weight_grad is false, when the caller forms it
+        through the weight_grad method instead."""
+        self._cache = (self._cache[0], grad_out)
+        if weight_grad:
+            self.grad_weight = self.weight_grad()
         self.grad_bias = grad_out.sum(axis=0)
         return grad_out @ self.weight if input_grad else None
+
+    def weight_grad(self, rows=slice(None), out=None):
+        """Rows `rows` of the weight gradient of the last backward, into out
+        when given: the whole of it, or one block of a blocked update."""
+        x, grad_out = self._cache
+        return np.matmul(grad_out[:, rows].T, x, out=out)
 
 
 def softmax_cross_entropy(logits, labels):
@@ -424,13 +476,24 @@ def reference_config(input_shape=(1, 300, 300), num_classes=10, seed=0) -> Netwo
     return NetworkConfig(layers=layers, input_shape=tuple(input_shape), num_classes=num_classes, seed=seed)
 
 
+# the least value of each size field a layer spec must have
+_SPEC_MINIMUMS = {
+    "conv2d": {"in_ch": 1, "out_ch": 1, "kernel": 1, "stride": 1, "padding": 0},
+    "maxpool2d": {"kernel": 1, "stride": 1},
+    "linear": {"in_features": 1, "out_features": 1},
+}
+
+
 def infer_shapes(config: NetworkConfig):
-    """Walk the layer specs, checking that shapes chain from the input to the
-    class logits; returns the per-layer output shapes."""
+    """Walk the layer specs, checking each size field and that shapes chain
+    from the input to the class logits; returns the per-layer output shapes."""
     shape = tuple(config.input_shape)
     shapes = []
     for i, spec in enumerate(config.layers):
         kind = spec["type"]
+        for name, least in _SPEC_MINIMUMS.get(kind, {}).items():
+            if spec[name] < least:
+                raise ValueError(f"layer {i}: {kind} {name} must be >= {least}, got {spec[name]}")
         if kind == "conv2d":
             c, h, w = shape
             if c != spec["in_ch"]:
@@ -467,13 +530,14 @@ def infer_shapes(config: NetworkConfig):
     return shapes
 
 
-def _backward(layer, grad_out, first):
-    """One layer's backward. The network's first layer computes no input
-    gradient, and a first layer without parameters is skipped."""
+def _backward(layer, grad_out, first, **kwargs):
+    """One layer's backward, passing kwargs on. The network's first layer
+    computes no input gradient, and a first layer without parameters is
+    skipped."""
     if not first:
-        return layer.backward(grad_out)
+        return layer.backward(grad_out, **kwargs)
     if layer.params:
-        layer.backward(grad_out, input_grad=False)
+        layer.backward(grad_out, input_grad=False, **kwargs)
     return None
 
 
@@ -551,14 +615,17 @@ class Network:
             x = layer.forward(x, train=train)
         return x
 
-    def backward(self, grad_logits):
+    def backward(self, grad_logits, linear_weight_grads=True):
         """Fill every layer's parameter gradients. The network's input
-        gradient is never read, so the first layer does not compute it."""
+        gradient is never read, so the first layer does not compute it. With
+        linear_weight_grads false, Linear layers leave grad_weight unformed,
+        for a caller that forms it through Linear.weight_grad."""
         head = self.layers[len(self._blocks) :]
         first = (self._blocks or head)[0]
         g = grad_logits
         for layer in reversed(head):
-            g = _backward(layer, g, layer is first)
+            kwargs = {"weight_grad": linear_weight_grads} if isinstance(layer, Linear) else {}
+            g = _backward(layer, g, layer is first, **kwargs)
         sums = {}  # block layer -> its parameter gradients summed over samples so far
         for n in range(len(g) if self._blocks else 0):
             h = g[n : n + 1]
@@ -655,6 +722,14 @@ def accuracy(net: Network, images, labels) -> float:
     return int((predict_labels(net, images) == labels).sum()) / len(images)
 
 
+def _sgd_update(param, vel, grad, cfg):
+    """One momentum step, in place; grad is spent."""
+    grad *= cfg.learning_rate
+    vel *= cfg.momentum
+    vel -= grad
+    param += vel
+
+
 def train(
     config: NetworkConfig,
     train_images,
@@ -698,14 +773,20 @@ def train(
             batch = order[start : start + cfg.batch_size]
             logits = net.forward(train_images[batch], train=True)
             loss, grad = softmax_cross_entropy(logits, train_labels[batch])
-            net.backward(grad)
+            net.backward(grad, linear_weight_grads=False)
             losses.append(loss)
             for vel, (owner, name) in zip(velocity, net.param_arrays()):
-                param, grad_arr = getattr(owner, name), getattr(owner, "grad_" + name)
-                grad_arr *= cfg.learning_rate  # in place: not read again this step
-                vel *= cfg.momentum
-                vel -= grad_arr
-                param += vel
+                param = getattr(owner, name)
+                if not (isinstance(owner, Linear) and name == "weight"):
+                    _sgd_update(param, vel, getattr(owner, "grad_" + name), cfg)
+                    continue
+                # a Linear weight's gradient goes in by row blocks: no
+                # weight-sized gradient exists (175 MB for fc1 at 300x300)
+                block = np.empty((min(_UPDATE_ROWS, len(param)), param.shape[1]), param.dtype)
+                for start in range(0, len(param), _UPDATE_ROWS):
+                    rows = slice(start, start + _UPDATE_ROWS)
+                    grad_rows = owner.weight_grad(rows, out=block[: len(param[rows])])
+                    _sgd_update(param[rows], vel[rows], grad_rows, cfg)
             # spent: without this, the next backward would hold two of each gradient
             net.drop_state()
         row = {"epoch": epoch, "train_loss": float(np.mean(losses)), "eval_accuracy": None}

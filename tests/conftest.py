@@ -3,7 +3,7 @@ evaluation of the quadratic time-frequency sum used as the independent oracle,
 the earlier full-lag form of pseudo_wvd kept as a reference, the all-rows
 hfft form of pseudo_wvd and the two-pass bilinear resize kept as a bitwise
 oracle for the row-selecting chain, and a fresh-interpreter runner with a
-peak-RSS probe built on it."""
+peak-RSS probe and a minor-fault counter built on it."""
 
 import os
 import subprocess
@@ -193,4 +193,32 @@ def peak_rss_growth(snippet, setup=""):
         "before = peak_rss()",
         textwrap.dedent(snippet),
         "print(peak_rss() - before)",
+    ])))
+
+
+def minor_faults(snippet, setup="", repeat=1, children=False):
+    """Run `setup`, then `snippet` `repeat` times, in a fresh interpreter
+    (see run_fresh); returns the fewest minor page faults one run of
+    `snippet` took. With children true, the faults counted are those of the
+    interpreter's reaped child processes, such as a process pool's workers
+    once the snippet has shut the pool down.
+
+    The interpreter turns transparent huge pages off for itself and its
+    children first (prctl PR_SET_THP_DISABLE), so every fault maps one base
+    page: numpy asks for huge pages for large arrays, and how many of those
+    the kernel has free would otherwise set the count."""
+    if sys.platform != "linux":
+        pytest.skip("counts minor faults with ru_minflt")
+    who = "RUSAGE_CHILDREN" if children else "RUSAGE_SELF"
+    return int(run_fresh("\n".join([
+        "import ctypes, resource",
+        "if ctypes.CDLL(None, use_errno=True).prctl(41, 1, 0, 0, 0):  # PR_SET_THP_DISABLE",
+        "    raise OSError(ctypes.get_errno(), 'prctl(PR_SET_THP_DISABLE) failed')",
+        textwrap.dedent(setup),
+        "counts = []",
+        f"for _ in range({repeat}):",
+        f"    before = resource.getrusage(resource.{who}).ru_minflt",
+        textwrap.indent(textwrap.dedent(snippet).strip(), "    "),
+        f"    counts.append(resource.getrusage(resource.{who}).ru_minflt - before)",
+        "print(min(counts))",
     ])))

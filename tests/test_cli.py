@@ -167,6 +167,9 @@ class TestStreamCommand:
         # a 3-class network whose header names one class
         json.dumps({"network": reference_config((1, 64, 64), 3).to_dict(),
                     "class_names": ["a"]}).encode(),
+        # a conv stride of 0, which once divided by zero
+        json.dumps({"network": reference_config((1, 64, 64), 3).to_dict()}).encode()
+        .replace(b'"stride": 1', b'"stride": 0', 1),
     ])
     def test_malformed_checkpoint_header_exits_2(self, workspace, tmp_path, capsys, header):
         wav = tmp_path / "long.wav"

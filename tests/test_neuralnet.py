@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import assert_grads_close, numeric_gradient, peak_rss_growth
+from conftest import assert_grads_close, minor_faults, numeric_gradient, peak_rss_growth
 from numpy.lib.stride_tricks import as_strided
 
 from wvdnet import neuralnet
@@ -194,15 +194,19 @@ POOL_GEOMETRIES = [(2, 2, 75, 75), (2, 2, 7, 9), (3, 3, 10, 11), (3, 2, 9, 8), (
 
 
 class TestMaxPool:
+    @pytest.mark.parametrize("gated", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k,s,h,w", POOL_GEOMETRIES)
-    def test_matches_window_copy_reference(self, k, s, h, w, dtype):
+    def test_matches_window_copy_reference(self, k, s, h, w, dtype, gated):
         rng = np.random.default_rng(k * 100 + s * 10 + h)
         x = np.round(rng.standard_normal((2, 3, h, w)) * 2) / 2  # many equal maxima
         x = (x * (x > 0)).astype(dtype)  # relu output: ties among +0.0 and -0.0
         pool = MaxPool2d(k, s)
         out = pool.forward(x)
         grad_out = rng.standard_normal(out.shape).astype(dtype)
+        if gated:  # as ReLU backward passes it: -0.0 where a negative gradient is gated
+            grad_out *= rng.random(out.shape) < 0.5
+            assert np.signbit(grad_out[grad_out == 0]).any()
         grad_in = pool.backward(grad_out)
         ref_out, ref_grad = reference_maxpool(x, k, s, grad_out)
         assert out.dtype == ref_out.dtype and out.shape == ref_out.shape
@@ -225,6 +229,8 @@ class TestMaxPool:
                 out = pool.forward(x)
                 assert np.isnan(out[0, 1, 1, 1])
                 np.testing.assert_array_equal(out, reference_maxpool(x, k, s)[0])
+                # backward routes a NaN window's gradient to its last tap
+                assert pool._cache[1][0, 1, 1, 1] == k * k - 1
 
     def test_kernel_beyond_tap_index_rejected(self):
         with pytest.raises(ValueError, match="kernel"):
@@ -636,6 +642,45 @@ class TestTraining:
         for a, b in zip(net.snapshot(), ref_net.snapshot()):
             assert a.tobytes() == b.tobytes()
 
+    def test_blocked_update_matches_full_gradient_steps(self, monkeypatch):
+        # fc1 has 37 rows: two whole blocks of 16 and a short one
+        config = NetworkConfig(
+            layers=({"type": "conv2d", "in_ch": 1, "out_ch": 4, "kernel": 3, "stride": 1,
+                     "padding": 1},
+                    {"type": "relu"}, {"type": "maxpool2d", "kernel": 2, "stride": 2},
+                    {"type": "flatten"}, {"type": "dropout", "p": 0.25},
+                    {"type": "linear", "in_features": 256, "out_features": 37}, {"type": "relu"},
+                    {"type": "linear", "in_features": 37, "out_features": 3}),
+            input_shape=(1, 16, 16), num_classes=3, seed=6)
+        images, labels = small_dataset(n=8)
+        cfg = TrainConfig(epochs=1, batch_size=4, learning_rate=0.05, momentum=0.9, seed=6)
+        formed = []
+        weight_grad = Linear.weight_grad
+
+        def recording(layer, *args, **kwargs):
+            grad = weight_grad(layer, *args, **kwargs)
+            formed.append(len(grad))
+            return grad
+
+        monkeypatch.setattr(Linear, "weight_grad", recording)
+        net, _ = train(config, images, labels, cfg)
+        monkeypatch.undo()
+        assert max(formed) == neuralnet._UPDATE_ROWS and 37 % neuralnet._UPDATE_ROWS
+
+        ref = Network(config)  # the same weights and dropout stream
+        velocity = [np.zeros_like(getattr(owner, name)) for owner, name in ref.param_arrays()]
+        order = np.random.default_rng(cfg.seed).permutation(len(images))
+        for batch in (order[:4], order[4:]):
+            logits = ref.forward(images[batch], train=True)
+            ref.backward(softmax_cross_entropy(logits, labels[batch])[1])
+            for vel, (owner, name) in zip(velocity, ref.param_arrays()):
+                vel *= cfg.momentum
+                vel -= cfg.learning_rate * getattr(owner, "grad_" + name)
+                setattr(owner, name, getattr(owner, name) + vel)
+        assert ref.layers[5].weight.dtype == np.float32
+        for a, b in zip(net.snapshot(), ref.snapshot()):
+            assert a.tobytes() == b.tobytes()
+
     def test_zero_learning_rate_leaves_parameters_unchanged(self):
         images, labels = small_dataset()
         cfg = TrainConfig(epochs=3, batch_size=4, learning_rate=0.0, seed=2)
@@ -796,6 +841,28 @@ class TestTrainedNetwork:
         assert growth[1] - growth[0] < fc1 / 2, f"steps 2-3 added {growth[1] - growth[0]} bytes"
 
 
+    def test_steady_state_step_faults_in_no_fc1_sized_gradient(self):
+        # Steps 2-3 of a call at 300x300, batch 4, after a first call. An
+        # fc1 gradient formed whole is 42,781 fresh pages every step: with
+        # it a step faulted 79.1-79.2K times, without it 33.9-34.1K (5 runs
+        # each); what is left is the conv blocks' per-sample arrays.
+        setup = """
+            import numpy as np
+            from wvdnet.neuralnet import TrainConfig, reference_config, train
+            images = np.random.default_rng(0).random((12, 1, 300, 300), dtype=np.float32)
+            labels = np.arange(12) % 10
+
+            def steps(n):
+                train(reference_config((1, 300, 300), 10), images[: 4 * n], labels[: 4 * n],
+                      TrainConfig(epochs=1, batch_size=4))
+
+            steps(1)
+        """
+        faults = [minor_faults(f"steps({n})", setup) for n in (1, 3)]
+        per_step = (faults[1] - faults[0]) / 2
+        assert per_step < 45_000, f"{per_step:.0f} minor faults per further step"
+
+
 class TestPredict:
     def test_probabilities_sum_to_one(self):
         net = Network(small_config(seed=6))
@@ -885,6 +952,28 @@ class TestCheckpoint:
         (hlen,) = struct.unpack("<I", blob[8:12])
         body = header if isinstance(header, bytes) else json.dumps(header).encode()
         with pytest.raises(ValueError, match="malformed checkpoint header"):
+            load_checkpoint(blob[:8] + struct.pack("<I", len(body)) + body + blob[12 + hlen :])
+
+    # small_config's layers: 0 conv, 2 pool, 3 conv, 5 pool, 6 conv, 8 pool, 11 and 14 linear
+    @pytest.mark.parametrize("index,field,value", [
+        (0, "stride", 0),
+        (0, "kernel", 0),
+        (0, "padding", -1),
+        (0, "in_ch", 0),
+        (3, "out_ch", 0),
+        (2, "stride", 0),
+        (5, "kernel", -2),
+        (11, "in_features", 0),
+        (14, "out_features", 0),
+    ])
+    def test_non_positive_layer_size_rejected(self, index, field, value):
+        network = small_config().to_dict()
+        network["layers"][index][field] = value
+        body = json.dumps({"network": network}).encode()
+        blob = save_checkpoint(Network(small_config()))
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        with pytest.raises(ValueError, match=f"malformed checkpoint header.*layer {index}: "
+                                             f".* {field} must be >="):
             load_checkpoint(blob[:8] + struct.pack("<I", len(body)) + body + blob[12 + hlen :])
 
     def test_load_draws_no_weights_and_keeps_the_stream(self, monkeypatch):

@@ -1,10 +1,8 @@
-import sys
-import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import hfft_pseudo_wvd, reference_pseudo_wvd, run_fresh, two_pass_resize_bilinear
+from conftest import hfft_pseudo_wvd, minor_faults, reference_pseudo_wvd, two_pass_resize_bilinear
 
 from wvdnet import pipeline
 from wvdnet.config import build_config
@@ -251,35 +249,32 @@ class TestWorkReuse:
             assert not np.shares_memory(first.values, held)
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="counts minor faults with ru_minflt")
 @pytest.mark.parametrize("workers", [1, 2])
 def test_steady_state_preprocess_does_not_refault_memory(tmp_path, workers):
     """Each further 4 s 44.1 kHz clip in one preprocess_dataset call faults
     in under 10% of the ~2,200 pages a clip faulted before its work arrays
     outlived it. Clips 3..10 of a call cost the faults of a 10-clip call
-    minus those of a 2-clip call. With two workers each worker's clip loop
-    holds its own work arrays; the pool's workers are reaped when the call
-    returns, so their faults count in RUSAGE_CHILDREN."""
-    per_clip = run_fresh(textwrap.dedent(f"""
-        import dataclasses, resource
-        from pathlib import Path
-        from wvdnet import datasets, synth
-        from wvdnet.config import RunConfig
+    minus those of a 2-clip call, each the fewest of three calls after a
+    first. With two workers each worker's clip loop holds its own work
+    arrays; the pool's workers are reaped when the call returns, so their
+    faults count as the children's."""
+    run = f'datasets.preprocess_dataset(clips, cfg, root / "store", workers={workers})'
 
-        root = Path({str(tmp_path)!r})
-        cfg = RunConfig(synth_rate_hz=44100.0, synth_classes=2, synth_clips_per_class=5)
-        synth.generate_dataset(root / "clips", cfg)
-        many = datasets.load_manifest(root / "clips", "folder_per_class")
-        few = dataclasses.replace(many, records=many.records[:2])
-        who = resource.RUSAGE_SELF if {workers} == 1 else resource.RUSAGE_CHILDREN
+    def setup(n):  # a manifest of the first n clips, and one call over it
+        return f"""
+            import dataclasses
+            from pathlib import Path
+            from wvdnet import datasets, synth
+            from wvdnet.config import RunConfig
 
-        def faults(manifest):
-            before = resource.getrusage(who).ru_minflt
-            datasets.preprocess_dataset(manifest, cfg, root / "store", workers={workers})
-            return resource.getrusage(who).ru_minflt - before
+            root = Path({str(tmp_path)!r}) / "{n}"
+            cfg = RunConfig(synth_rate_hz=44100.0, synth_classes=2, synth_clips_per_class=5)
+            synth.generate_dataset(root / "clips", cfg)
+            many = datasets.load_manifest(root / "clips", "folder_per_class")
+            clips = dataclasses.replace(many, records=many.records[:{n}])
+            {run}
+        """
 
-        faults(many), faults(few)
-        extra = min(faults(many) for _ in range(3)) - min(faults(few) for _ in range(3))
-        print(extra / (len(many) - len(few)))
-    """))
+    faults = [minor_faults(run, setup(n), repeat=3, children=workers > 1) for n in (10, 2)]
+    per_clip = (faults[0] - faults[1]) / 8
     assert per_clip < 220
