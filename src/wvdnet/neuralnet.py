@@ -29,16 +29,23 @@ parameter gradients in that order, as Conv2d.backward does within a batch,
 so both give the same bits. Conv2d builds im2col columns one sample at a
 time.
 
-MaxPool2d reads each tap view, one strided view of the input per window
-position, once in forward: the running max takes np.maximum(tap, max), which
-keeps the old max on a tie, and the uint8 tap index takes q wherever that
-rose (or a NaN entered), in uint8 arithmetic as max(index, q * rose). The
-last tap that raised the max is the first that matches it. Where the
-windows tile the input (stride == kernel, as in the reference net), backward
-writes each input element once: the bits of grad_out + 0.0 times
-(index == q), as same-width unsigned ints, which is what adding the taps
-into zeros gives, -0.0 turned +0.0 included. Overlapping or gapped windows
-add the taps into zeros.
+A scoring forward, Network.forward with train false (predict,
+predict_labels, accuracy, evaluation and every stream window), keeps nothing
+for backward: Network saves no per-sample state, so each block layer's
+_cache holds only the sample it last ran, and every layer's _cache is
+cleared before the forward returns. Network.backward needs a train=True
+forward first. A layer called on its own keeps its _cache whatever its
+train argument, so its backward can follow a default forward.
+
+MaxPool2d windows tile their input: the stride equals the kernel, as in
+every network train builds. Forward reads each tap view, one strided view of
+the input per window position, once: the running max takes
+np.maximum(tap, max), which keeps the old max on a tie, and the uint8 tap
+index takes q wherever that rose (or a NaN entered), in uint8 arithmetic as
+max(index, q * rose). The last tap that raised the max is the first that
+matches it. Backward writes each input element once: the bits of
+grad_out + 0.0 times (index == q), as same-width unsigned ints, which is
+what adding the taps into zeros gives, -0.0 turned +0.0 included.
 
 train() updates each parameter in place: the gradient is scaled by the
 learning rate, the velocity by the momentum, the velocity takes the
@@ -253,28 +260,28 @@ class Conv2d(Layer):
 
 
 class MaxPool2d(Layer):
-    """Per-window max with floor-mode output size; a NaN anywhere in a window
-    makes that output NaN. Ties go to the first element in the window's
-    row-major scan, and backward keeps one uint8 index of that tap per output."""
+    """Per-window max over k x k windows that tile the input (stride k), with
+    floor-mode output size; a NaN anywhere in a window makes that output NaN.
+    Ties go to the first element in the window's row-major scan, and backward
+    keeps one uint8 index of that tap per output."""
 
     def __init__(self, kernel=2, stride=2):
-        if not 1 <= kernel <= 16:  # the tap index is one byte: k*k <= 256
-            raise ValueError(f"pooling kernel must be in [1, 16], got {kernel}")
+        """stride must equal kernel; the tap index is one byte, so k*k <= 256."""
+        if not 1 <= kernel <= 16 or stride != kernel:
+            raise ValueError(f"pool kernel {kernel}, stride {stride}: need both equal, in [1, 16]")
         self.kernel = kernel
-        self.stride = stride
 
     def _taps(self, x, hout, wout):
         """One strided view of x per window position, each shaped like the output."""
-        k, s = self.kernel, self.stride
-        rows, cols = s * (hout - 1) + 1, s * (wout - 1) + 1
-        return [x[:, :, i : i + rows : s, j : j + cols : s] for i in range(k) for j in range(k)]
+        k = self.kernel
+        return [x[:, :, i : k * hout : k, j : k * wout : k] for i in range(k) for j in range(k)]
 
     def forward(self, x, train=False):
         b, c, h, w = x.shape
-        k, s = self.kernel, self.stride
+        k = self.kernel
         if h < k or w < k:
             raise ValueError(f"input {h}x{w} smaller than pooling window {k}x{k}")
-        taps = self._taps(x, (h - k) // s + 1, (w - k) // s + 1)
+        taps = self._taps(x, h // k, w // k)
         out = taps[0].copy()
         nxt = np.empty_like(out)
         rose = np.empty(out.shape, dtype=bool)
@@ -297,11 +304,6 @@ class MaxPool2d(Layer):
         x_shape, which = self._cache
         hout, wout = which.shape[2:]
         k = self.kernel
-        if self.stride != k:  # windows overlap or skip input: sum the taps
-            gx = np.zeros(x_shape, dtype=grad_out.dtype)
-            for q, tap in enumerate(self._taps(gx, hout, wout)):
-                tap += grad_out * (which == q)
-            return gx
         # Windows tile the input, so each element gets one tap's value: the
         # bits of grad_out + 0.0, or zero, as in a zero-filled sum (which
         # also turns -0.0 into +0.0). Only the uncovered edge is zero-filled.
@@ -507,9 +509,9 @@ def infer_shapes(config: NetworkConfig):
         elif kind == "maxpool2d":
             c, h, w = shape
             k, s = spec["kernel"], spec["stride"]
-            if h < k or w < k:
-                raise ValueError(f"layer {i}: pool window {k} exceeds input {shape}")
-            shape = (c, (h - k) // s + 1, (w - k) // s + 1)
+            if s != k or h < k or w < k:
+                raise ValueError(f"layer {i}: pool {k}x{k} at stride {s} does not tile {shape}")
+            shape = (c, h // k, w // k)
         elif kind == "flatten":
             shape = (int(np.prod(shape)),)
         elif kind == "linear":
@@ -554,6 +556,7 @@ class Network:
         self.config = config
         self.dtype = dtype
         self.rng = np.random.default_rng(config.seed)
+        self._caches = None  # per block layer, each sample's backward state
         self.layers = []  # in config order
         for spec in config.layers:
             kind = spec["type"]
@@ -592,6 +595,9 @@ class Network:
                 self._blocks.append(layer)
 
     def forward(self, x, train=False):
+        """The logits of a batch, or of one image as a batch of one. With
+        train false (scoring) nothing is kept for backward: no per-sample
+        state, and no layer's _cache once the forward returns."""
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim == 3:
             x = x[None]
@@ -600,19 +606,22 @@ class Network:
                 f"input shape {x.shape[1:]} does not match network input "
                 f"{tuple(self.config.input_shape)}"
             )
+        self._caches = [[None] * len(x) for _ in self._blocks] if train else None
         if self._blocks:
-            # per block layer, each sample's backward state
-            self._caches = [[None] * len(x) for _ in self._blocks]
             outputs = []
             for n in range(len(x)):
                 h = x[n : n + 1]
-                for layer, caches in zip(self._blocks, self._caches):
+                for i, layer in enumerate(self._blocks):
                     h = layer.forward(h, train=train)
-                    caches[n] = layer._cache
+                    if train:
+                        self._caches[i][n] = layer._cache
                 outputs.append(h)
             x = np.concatenate(outputs)
         for layer in self.layers[len(self._blocks) :]:
             x = layer.forward(x, train=train)
+        if not train:
+            for layer in self.layers:
+                layer._cache = None
         return x
 
     def backward(self, grad_logits, linear_weight_grads=True):
@@ -620,6 +629,8 @@ class Network:
         gradient is never read, so the first layer does not compute it. With
         linear_weight_grads false, Linear layers leave grad_weight unformed,
         for a caller that forms it through Linear.weight_grad."""
+        if self._caches is None:
+            raise ValueError("Network.backward needs a train=True forward first")
         head = self.layers[len(self._blocks) :]
         first = (self._blocks or head)[0]
         g = grad_logits
@@ -670,6 +681,13 @@ class Network:
             setattr(owner, name, arr.copy())
 
 
+def _finite(logits):
+    """logits, which must hold no inf or NaN: argmax would read NaN as class 0."""
+    if not np.isfinite(logits).all():
+        raise ValueError("the network gave non-finite logits: a weight or input is inf or NaN")
+    return logits
+
+
 def predict(net: Network, image):
     """Eval-mode class index and probability vector for a single image."""
     image = np.asarray(image)
@@ -678,7 +696,7 @@ def predict(net: Network, image):
             f"image shape {image.shape} does not match network input "
             f"{tuple(net.config.input_shape)}"
         )
-    logits = net.forward(image[None], train=False)[0].astype(np.float64)
+    logits = _finite(net.forward(image[None], train=False)[0]).astype(np.float64)
     shifted = logits - logits.max()
     probs = np.exp(shifted)
     probs /= probs.sum()
@@ -711,7 +729,7 @@ def predict_labels(net: Network, images) -> np.ndarray:
     """Eval-mode class index for each image, scored in batches of 32."""
     labels = np.empty(len(images), dtype=int)
     for start in range(0, len(images), 32):
-        logits = net.forward(images[start : start + 32], train=False)
+        logits = _finite(net.forward(images[start : start + 32], train=False))
         labels[start : start + 32] = logits.argmax(axis=1)
     return labels
 
@@ -744,7 +762,8 @@ def train(
     to the later epoch; the final state when there is no eval set) and the
     per-epoch history of train loss and eval accuracy. The network comes back
     with its weights only: no gradients and no backward state from the last
-    pass, which a later forward and backward would rebuild.
+    pass, which a later forward and backward would rebuild. A batch loss that
+    is inf or NaN (a diverged run) raises ValueError.
     """
     train_images = np.asarray(train_images, dtype=np.float32)
     train_labels = np.asarray(train_labels, dtype=np.int64)
@@ -773,6 +792,11 @@ def train(
             batch = order[start : start + cfg.batch_size]
             logits = net.forward(train_images[batch], train=True)
             loss, grad = softmax_cross_entropy(logits, train_labels[batch])
+            if not math.isfinite(loss):
+                raise ValueError(
+                    f"training diverged: batch loss {loss} at epoch {epoch}, step "
+                    f"{start // cfg.batch_size + 1}, learning rate {cfg.learning_rate}"
+                )
             net.backward(grad, linear_weight_grads=False)
             losses.append(loss)
             for vel, (owner, name) in zip(velocity, net.param_arrays()):
@@ -787,7 +811,8 @@ def train(
                     rows = slice(start, start + _UPDATE_ROWS)
                     grad_rows = owner.weight_grad(rows, out=block[: len(param[rows])])
                     _sgd_update(param[rows], vel[rows], grad_rows, cfg)
-            # spent: without this, the next backward would hold two of each gradient
+            # spent: without this, the next backward would hold two of each
+            # gradient, and the network train returns would hold the last
             net.drop_state()
         row = {"epoch": epoch, "train_loss": float(np.mean(losses)), "eval_accuracy": None}
         if eval_images is not None and len(eval_images):
@@ -800,7 +825,6 @@ def train(
 
     if best is not None:
         net.load_snapshot(best)
-    net.drop_state()
     return net, history
 
 

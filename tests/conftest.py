@@ -2,13 +2,15 @@
 evaluation of the quadratic time-frequency sum used as the independent oracle,
 the earlier full-lag form of pseudo_wvd kept as a reference, the all-rows
 hfft form of pseudo_wvd and the two-pass bilinear resize kept as a bitwise
-oracle for the row-selecting chain, and a fresh-interpreter runner with a
-peak-RSS probe and a minor-fault counter built on it."""
+oracle for the row-selecting chain, a tracemalloc probe, and a
+fresh-interpreter runner with a peak-RSS probe and a minor-fault counter
+built on it."""
 
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +158,19 @@ def two_pass_resize_bilinear(image, out_rows, out_cols, work=None):
     time_axis = interp_1d(image.time_axis_s, rpos, axis=0)
     freq_axis = interp_1d(image.freq_axis_hz, cpos, axis=0)
     return TFDImage(values, time_axis, freq_axis, image.source_rate_hz, image.kind)
+
+
+def traced_memory(call):
+    """Run call() under tracemalloc, which numpy reports its buffers to;
+    returns (current, peak): the bytes allocated during the call that are
+    still held once it has returned and dropped its result, and the most
+    held at any one time."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

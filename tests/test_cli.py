@@ -19,6 +19,14 @@ BASE_FLAGS = [
 ]
 
 
+def overlapping_first_pool():
+    """reference_config at 1x64x64 with 3 classes, but its first pool at stride 1."""
+    network = reference_config((1, 64, 64), 3).to_dict()
+    network["layers"][2]["stride"] = 1
+    network["layers"][11]["in_features"] = 64 * 15 * 15  # 64 -> 63 -> 31 -> 15
+    return network
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One synth dataset + preprocessed store + memorized model for the module."""
@@ -96,6 +104,15 @@ class TestTrainCommand:
         history = (store / "history.csv").read_text().splitlines()
         assert history == ["epoch,train_loss,eval_accuracy"]
 
+    def test_diverged_run_exits_2_without_checkpoint(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "diverged.wvdn"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--out", str(workspace["store"]), "--checkpoint", str(ckpt)]
+                        + BASE_FLAGS + ["--learning-rate", "1e4"])
+        assert code == 2
+        assert "training diverged" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_missing_store_exits_2(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "empty")] + BASE_FLAGS) == 2
 
@@ -170,6 +187,8 @@ class TestStreamCommand:
         # a conv stride of 0, which once divided by zero
         json.dumps({"network": reference_config((1, 64, 64), 3).to_dict()}).encode()
         .replace(b'"stride": 1', b'"stride": 0', 1),
+        # a first pool whose 2x2 windows overlap (stride 1), fc1 sized to match
+        json.dumps({"network": overlapping_first_pool()}).encode(),
     ])
     def test_malformed_checkpoint_header_exits_2(self, workspace, tmp_path, capsys, header):
         wav = tmp_path / "long.wav"

@@ -2,11 +2,11 @@ import hashlib
 import json
 import struct
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import assert_grads_close, minor_faults, numeric_gradient, peak_rss_growth
+from conftest import (assert_grads_close, minor_faults, numeric_gradient, peak_rss_growth,
+                      traced_memory)
 from numpy.lib.stride_tricks import as_strided
 
 from wvdnet import neuralnet
@@ -24,6 +24,7 @@ from wvdnet.neuralnet import (
     infer_shapes,
     load_checkpoint,
     predict,
+    predict_labels,
     reference_config,
     save_checkpoint,
     softmax_cross_entropy,
@@ -183,14 +184,11 @@ def reference_maxpool(x, k, s, grad_out=None):
     cidx = np.arange(c)[None, :, None, None]
     flat = ((bidx * c + cidx) * h + hpos) * w + wpos
     gx = np.zeros(b * c * h * w, dtype=grad_out.dtype)
-    if s >= k:  # windows disjoint -> indices unique
-        gx[flat.ravel()] += grad_out.ravel()
-    else:
-        np.add.at(gx, flat.ravel(), grad_out.ravel())
+    gx[flat.ravel()] += grad_out.ravel()  # windows tile the input: indices unique
     return out, gx.reshape(b, c, h, w)
 
 
-POOL_GEOMETRIES = [(2, 2, 75, 75), (2, 2, 7, 9), (3, 3, 10, 11), (3, 2, 9, 8), (2, 1, 7, 6)]
+POOL_GEOMETRIES = [(2, 2, 75, 75), (2, 2, 7, 9), (3, 3, 10, 11)]
 
 
 class TestMaxPool:
@@ -212,11 +210,13 @@ class TestMaxPool:
         assert out.dtype == ref_out.dtype and out.shape == ref_out.shape
         assert out.tobytes() == ref_out.tobytes()
         assert grad_in.dtype == ref_grad.dtype and grad_in.shape == ref_grad.shape
-        if s >= k:
-            assert grad_in.tobytes() == ref_grad.tobytes()
-        else:  # overlapping windows: the summation order differs
-            atol = 1e-12 if dtype == np.float64 else 1e-5
-            np.testing.assert_allclose(grad_in, ref_grad, rtol=0, atol=atol)
+        assert grad_in.tobytes() == ref_grad.tobytes()
+
+    # overlapping (stride < kernel) and gapped (stride > kernel) windows
+    @pytest.mark.parametrize("k,s", [(3, 2), (2, 1), (2, 3)])
+    def test_windows_that_do_not_tile_rejected(self, k, s):
+        with pytest.raises(ValueError, match=f"kernel {k}, stride {s}: need both equal"):
+            MaxPool2d(k, s)
 
     @pytest.mark.parametrize("k,s,h,w", POOL_GEOMETRIES)
     def test_nan_anywhere_in_a_window_propagates(self, k, s, h, w):
@@ -423,14 +423,11 @@ class TestWeightInit:
     @pytest.mark.parametrize("cores", [1, 4])
     def test_float64_scratch_stays_within_one_chunk(self, monkeypatch, cores):
         parts_of(monkeypatch, cores)
-        tracemalloc.start()  # numpy reports its buffers to tracemalloc
-        try:
-            layer = Linear(2 * neuralnet._INIT_CHUNK + 3, 3, rng=np.random.default_rng(1))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # besides the float64 buffers: threads, futures and stream copies
-        scratch = peak - layer.weight.nbytes - (64 << 10)
+        width = 2 * neuralnet._INIT_CHUNK + 3
+        _, peak = traced_memory(lambda: Linear(width, 3, rng=np.random.default_rng(1)))
+        # besides the float32 weight and the float64 buffers: threads,
+        # futures and stream copies
+        scratch = peak - 3 * width * 4 - (64 << 10)
         assert scratch <= 8 * neuralnet._INIT_CHUNK, f"{scratch} bytes of scratch"
 
 
@@ -537,8 +534,12 @@ class TestNetworkPasses:
         ref_logits, ref_grads = spec_order_pass(net, x, grad, train_mode)
         net.rng.bit_generator.state = masks
         logits = net.forward(x, train=train_mode)
-        net.backward(grad)
         assert logits.tobytes() == ref_logits.tobytes()
+        if not train_mode:  # a scoring forward keeps nothing to run backward from
+            with pytest.raises(ValueError, match="needs a train=True forward"):
+                net.backward(grad)
+            return
+        net.backward(grad)
         for (owner, name), ref in zip(net.param_arrays(), ref_grads):
             assert getattr(owner, "grad_" + name).tobytes() == ref.tobytes()
 
@@ -583,15 +584,40 @@ class TestNetworkPasses:
         rng = np.random.default_rng(15)
         x = rng.standard_normal((16, 1, 128, 128)).astype(np.float32)
         grad = rng.standard_normal((16, 3)).astype(np.float32)
-        tracemalloc.start()  # numpy reports its buffers to tracemalloc
-        try:
+
+        def step():
             net.forward(x, train=True)
             net.backward(grad)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_memory(step)
         batch_conv_output = 16 * 16 * 128 * 128 * 4
         assert peak < batch_conv_output / 2
+
+    def test_scoring_forward_keeps_no_backward_state(self):
+        # batch 32 at 1x300x300: a scoring forward that kept each sample's
+        # padded conv inputs, tap indices and relu masks, and fc1's input,
+        # left 134.8 MB behind and peaked at 150.4 MB
+        net = Network(reference_config((1, 300, 300), 10))
+        x = np.random.default_rng(16).random((32, 1, 300, 300), dtype=np.float32)
+        current, peak = traced_memory(lambda: net.forward(x, train=False))
+        assert current < 1e6, f"{current / 1e6:.1f} MB left behind"
+        assert peak < 40e6, f"{peak / 1e6:.1f} MB peak"
+        assert net._caches is None
+        assert all(layer._cache is None for layer in net.layers)
+
+    def test_backward_needs_a_training_forward(self):
+        images, labels = small_dataset(n=4)
+        net = Network(small_config())
+        grad = softmax_cross_entropy(net.forward(images, train=True), labels)[1]
+        net.forward(images)  # a scoring forward drops what the training one kept
+        with pytest.raises(ValueError, match="needs a train=True forward"):
+            net.backward(grad)
+        net.forward(images, train=True)
+        net.drop_state()
+        with pytest.raises(ValueError, match="needs a train=True forward"):
+            net.backward(grad)
+        with pytest.raises(ValueError, match="needs a train=True forward"):
+            Network(small_config()).backward(grad)
 
 
 def reference_train(config, images, labels, cfg, eval_images, eval_labels):
@@ -709,13 +735,26 @@ class TestTraining:
         net = Network(small_config(seed=5), dtype=np.float64)
         images, labels = small_dataset(n=8)
         images = images.astype(np.float64)
-        logits = net.forward(images, train=False)
+        masks = net.rng.bit_generator.state  # the second forward replays the dropout masks
+        logits = net.forward(images, train=True)
         loss_before, grad = softmax_cross_entropy(logits, labels)
         net.backward(grad)
         for owner, name in net.param_arrays():
             setattr(owner, name, getattr(owner, name) - 1e-5 * getattr(owner, "grad_" + name))
-        loss_after, _ = softmax_cross_entropy(net.forward(images, train=False), labels)
+        net.rng.bit_generator.state = masks
+        loss_after, _ = softmax_cross_entropy(net.forward(images, train=True), labels)
         assert loss_after < loss_before
+
+    def test_diverged_run_raises(self):
+        # without the check, loss and weights came back NaN and predict gave class 0
+        rng = np.random.default_rng(0)
+        images = rng.random((24, 1, 40, 40), dtype=np.float32)
+        labels = np.arange(24) % 3
+        cfg = TrainConfig(epochs=3, batch_size=4, learning_rate=1e4, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=r"diverged: batch loss (nan|inf) at epoch \d, "
+                                                 r"step \d, learning rate 10000\.0"):
+                train(reference_config((1, 40, 40), 3), images, labels, cfg)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -793,8 +832,8 @@ class TestTrainedNetwork:
             assert layer._cache is None, type(layer).__name__
             for name in layer.params:
                 assert getattr(layer, "grad_" + name) is None
-        # the twin's Flatten still holds its input shape, a tuple held_state skips
-        assert any(isinstance(layer, Flatten) and layer._cache for layer in kept.layers)
+        # the twin, whose drop_state did nothing, still holds its last step's gradients
+        assert all(layer.grad_bias is not None for layer in kept.layers if layer.params)
 
     def test_checkpoint_is_byte_identical_to_the_twin(self, trained_pair):
         net, kept = trained_pair
@@ -882,6 +921,17 @@ class TestPredict:
         net = Network(small_config())
         with pytest.raises(ValueError, match="shape"):
             predict(net, np.ones((1, 8, 8), dtype=np.float32))
+
+    def test_non_finite_logits_rejected(self):
+        # argmax reads NaN logits as class 0
+        net = Network(small_config(seed=8))
+        net.layers[-1].weight[1, 0] = np.nan
+        images, _ = small_dataset(n=3)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite logits"):
+                predict(net, images[0])
+            with pytest.raises(ValueError, match="non-finite logits"):
+                predict_labels(net, images)
 
 
 class TestCheckpoint:
@@ -1013,6 +1063,13 @@ class TestConfigValidation:
         bad = config.__class__(tuple(layers), config.input_shape, 3, 0)
         with pytest.raises(ValueError, match="width"):
             infer_shapes(bad)
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_pool_stride_other_than_kernel_rejected(self, stride):
+        network = small_config().to_dict()
+        network["layers"][2]["stride"] = stride
+        with pytest.raises(ValueError, match=f"layer 2: pool 2x2 at stride {stride} does not tile"):
+            infer_shapes(NetworkConfig.from_dict(network))
 
     def test_final_width_must_match_classes(self):
         config = reference_config((1, 16, 16), 3)

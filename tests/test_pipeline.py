@@ -1,8 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
-from conftest import hfft_pseudo_wvd, minor_faults, reference_pseudo_wvd, two_pass_resize_bilinear
+from conftest import (hfft_pseudo_wvd, minor_faults, reference_pseudo_wvd, traced_memory,
+                      two_pass_resize_bilinear)
 
 from wvdnet import pipeline
 from wvdnet.config import build_config
@@ -201,12 +200,7 @@ class TestRowSelectingChainIsBitwise:
         all_rows_spectrum = -(-target_len // auto_time_stride(target_len)) * 257 * 16
         assert all_rows_spectrum == 1176 * 257 * 16
         clip_to_image(signal, cfg)
-        tracemalloc.start()
-        try:
-            clip_to_image(signal, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_memory(lambda: clip_to_image(signal, cfg))
         assert peak < all_rows_spectrum
 
 
