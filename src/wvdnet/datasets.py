@@ -426,7 +426,8 @@ class ArrayStore:
 
 def load_store(out_dir: str | Path) -> ArrayStore:
     """Read a store back into one [N, 1, rows, cols] float32 array, each
-    clip's little-endian file straight into its row, with no further copy."""
+    clip's little-endian file straight into its row, with no further copy.
+    An image that holds an inf or NaN raises DataError."""
     out_dir = Path(out_dir)
     meta = _read_store_meta(out_dir)
     rows, cols = meta["image_rows"], meta["image_cols"]
@@ -440,8 +441,10 @@ def load_store(out_dir: str | Path) -> ArrayStore:
                     f"{clip['file']}: expected {rows * cols} float32 values "
                     f"({row.nbytes} bytes), found {size} bytes"
                 )
-    if not np.little_endian:  # the files are little-endian
-        images.byteswap(inplace=True)
+        if not np.little_endian:  # the files are little-endian
+            row.byteswap(inplace=True)
+        if not np.isfinite(row).all():
+            raise DataError(f"{clip['file']}: image holds an inf or NaN")
     return ArrayStore(
         images,
         np.array([clip["label"] for clip in clips], dtype=np.int64),

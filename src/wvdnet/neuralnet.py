@@ -12,8 +12,13 @@ hidden layer with relu and dropout, and the class logits. On a 1x300x300
 input the flatten width is 87,616.
 
 Every layer reads the same way: `params` names the arrays whose gradients
-backward leaves in `grad_<param>` (none for the layers without weights), and
-`_cache` holds what backward needs from the last forward.
+backward leaves in `grad_<param>` (none for the layers without weights),
+`_cache` holds what backward needs from the last forward, and `out_shape`
+maps a per-sample input shape to the output shape, raising ValueError on an
+input the layer cannot take. forward runs that same check, and infer_shapes
+and Network both build a config's layers through _build, which chains
+out_shape from the input to the logits, so each geometry rule is written once
+and the spec types map to layer classes in one table, _LAYER_TYPES.
 
 Network runs its conv blocks, the leading run of Conv2d, ReLU and MaxPool2d
 layers, one sample at a time: each sample goes through every block before
@@ -67,10 +72,11 @@ outputs zero and passes zero gradient in both orders; only the sign of such
 intermediate zeros can differ, and a signed zero leaves every sum it joins
 unchanged unless that sum is itself zero.
 
-Conv2d and Linear draw their initial weights through _fill_uniform, which
-writes, element for element and in row-major order, the value that one
-rng.uniform(-bound, bound, shape) call would give, cast to the layer dtype,
-and leaves rng where that call would. A weight larger than one chunk of
+Conv2d and Linear allocate their parameters through _init_params, which
+draws the weight, Kaiming-uniform with bound sqrt(6 / fan_in), through
+_fill_uniform. That writes, element for element and in row-major order, the
+value that one rng.uniform(-bound, bound, shape) call would give, cast to the
+layer dtype, and leaves rng where that call would. A weight larger than one chunk of
 _INIT_CHUNK draws, drawn from a PCG64 stream, is split by rows into one part
 per available core. The calling thread fills part 0 from rng itself, and a
 thread pool that ends with the fill runs the others. Part k draws from a copy
@@ -86,6 +92,7 @@ as a single part on the calling thread.
 from __future__ import annotations
 
 import copy
+import inspect
 import json
 import math
 import os
@@ -100,6 +107,7 @@ CHECKPOINT_MAGIC = b"WVDN"
 CHECKPOINT_VERSION = 1
 _INIT_CHUNK = 1 << 20  # float64 draws held at once by a weight init, over all its parts
 _UPDATE_ROWS = 16  # rows of a Linear weight gradient that train() forms at once
+_CHECK_VALUES = 1 << 18  # values a finiteness check reads at once, 1 MB of float32
 
 
 # -- layer implementations ---------------------------------------------------
@@ -155,13 +163,29 @@ def _fill_uniform(weight, bound, rng):
     bitgen.state = state
 
 
+def _init_params(layer, shape, dtype, rng, draw):
+    """Give layer a weight of shape and a zero bias of shape[0]. The weight
+    is Kaiming-uniform (relu gain), bound sqrt(6 / fan_in), drawn from rng
+    (default_rng(0) when None); with draw false it is left uninitialized."""
+    layer.weight = np.empty(shape, dtype=dtype)
+    if draw:
+        bound = np.sqrt(6.0 / math.prod(shape[1:]))
+        _fill_uniform(layer.weight, bound, np.random.default_rng(0) if rng is None else rng)
+    layer.bias = np.zeros(shape[0], dtype=dtype)
+
+
 class Layer:
     """What Network reads of every layer: the names of the parameters whose
-    gradients backward leaves in grad_<param>, and _cache, the state forward
-    keeps for backward."""
+    gradients backward leaves in grad_<param>, _cache, the state forward
+    keeps for backward, and out_shape, its geometry rule."""
 
     params = ()
     _cache = None
+
+    def out_shape(self, shape):
+        """The per-sample output shape for a per-sample input shape; raises
+        ValueError when the layer cannot take that input."""
+        return shape
 
 
 class Conv2d(Layer):
@@ -174,36 +198,27 @@ class Conv2d(Layer):
 
     def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, dtype=np.float32, rng=None,
                  draw=True):
-        """Kaiming-uniform weights drawn from rng (default_rng(0) when None);
-        with draw false the weights are left uninitialized."""
+        """Weights as _init_params draws them."""
         self.in_ch = in_ch
         self.out_ch = out_ch
         self.kh, self.kw = (kernel, kernel) if isinstance(kernel, int) else tuple(kernel)
         self.stride = stride
         self.padding = padding
-        self.weight = np.empty((out_ch, in_ch, self.kh, self.kw), dtype=dtype)
-        if draw:  # kaiming-uniform, relu gain
-            bound = np.sqrt(6.0 / (in_ch * self.kh * self.kw))
-            _fill_uniform(self.weight, bound, np.random.default_rng(0) if rng is None else rng)
-        self.bias = np.zeros(out_ch, dtype=dtype)
+        _init_params(self, (out_ch, in_ch, self.kh, self.kw), dtype, rng, draw)
 
-    def _pad(self, x):
-        """Check the geometry; returns the zero-padded input and hout, wout."""
-        _, c, h, w = x.shape
+    def out_shape(self, shape):
+        c, h, w = shape
         p, s = self.padding, self.stride
         if c != self.in_ch:
             raise ValueError(f"expected {self.in_ch} input channels, got {c}")
         hout, rem_h = divmod(h + 2 * p - self.kh, s)
         wout, rem_w = divmod(w + 2 * p - self.kw, s)
-        hout += 1
-        wout += 1
-        if rem_h or rem_w or hout < 1 or wout < 1:
+        if rem_h or rem_w or hout < 0 or wout < 0:
             raise ValueError(
                 f"conv geometry mismatch: input {h}x{w}, kernel {self.kh}x{self.kw}, "
                 f"stride {s}, padding {p}"
             )
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        return xp, hout, wout
+        return self.out_ch, hout + 1, wout + 1
 
     def _columns(self, sample, hout, wout, cols):
         """Fill cols [c*kh*kw, hout*wout] with one padded sample's windows."""
@@ -214,7 +229,9 @@ class Conv2d(Layer):
                   as_strided(sample, shape=shape, strides=(sc, sh, sw, sh * s, sw * s)))
 
     def forward(self, x, train=False):
-        xp, hout, wout = self._pad(x)
+        _, hout, wout = self.out_shape(x.shape[1:])
+        p = self.padding
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
         w2 = self.weight.reshape(self.out_ch, -1)
         cols = np.empty((w2.shape[1], hout * wout), dtype=xp.dtype)
         out = np.empty((len(xp), self.out_ch, hout * wout), dtype=np.result_type(w2, cols))
@@ -276,12 +293,16 @@ class MaxPool2d(Layer):
         k = self.kernel
         return [x[:, :, i : k * hout : k, j : k * wout : k] for i in range(k) for j in range(k)]
 
-    def forward(self, x, train=False):
-        b, c, h, w = x.shape
+    def out_shape(self, shape):
+        c, h, w = shape
         k = self.kernel
         if h < k or w < k:
             raise ValueError(f"input {h}x{w} smaller than pooling window {k}x{k}")
-        taps = self._taps(x, h // k, w // k)
+        return c, h // k, w // k
+
+    def forward(self, x, train=False):
+        _, hout, wout = self.out_shape(x.shape[1:])
+        taps = self._taps(x, hout, wout)
         out = taps[0].copy()
         nxt = np.empty_like(out)
         rose = np.empty(out.shape, dtype=bool)
@@ -349,6 +370,9 @@ class Dropout(Layer):
 
 
 class Flatten(Layer):
+    def out_shape(self, shape):
+        return (math.prod(shape),)
+
     def forward(self, x, train=False):
         self._cache = x.shape
         return x.reshape(x.shape[0], -1)
@@ -361,21 +385,18 @@ class Linear(Layer):
     params = ("weight", "bias")
 
     def __init__(self, in_features, out_features, dtype=np.float32, rng=None, draw=True):
-        """Kaiming-uniform weights drawn from rng (default_rng(0) when None);
-        with draw false the weights are left uninitialized."""
+        """Weights as _init_params draws them."""
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = np.empty((out_features, in_features), dtype=dtype)
-        if draw:
-            bound = np.sqrt(6.0 / in_features)
-            _fill_uniform(self.weight, bound, np.random.default_rng(0) if rng is None else rng)
-        self.bias = np.zeros(out_features, dtype=dtype)
+        _init_params(self, (out_features, in_features), dtype, rng, draw)
+
+    def out_shape(self, shape):
+        if shape != (self.in_features,):
+            raise ValueError(f"linear layer expects width {self.in_features}, got shape {shape}")
+        return (self.out_features,)
 
     def forward(self, x, train=False):
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ValueError(
-                f"linear layer expects [batch, {self.in_features}], got {x.shape}"
-            )
+        self.out_shape(x.shape[1:])
         self._cache = (x, None)  # backward adds its output gradient
         return x @ self.weight.T + self.bias
 
@@ -486,50 +507,47 @@ _SPEC_MINIMUMS = {
 }
 
 
-def infer_shapes(config: NetworkConfig):
-    """Walk the layer specs, checking each size field and that shapes chain
-    from the input to the class logits; returns the per-layer output shapes."""
+_LAYER_TYPES = {"conv2d": Conv2d, "maxpool2d": MaxPool2d, "relu": ReLU, "dropout": Dropout,
+                "flatten": Flatten, "linear": Linear}
+
+
+def _build(config: NetworkConfig, dtype=np.float32, rng=None, draw=False):
+    """The layers of config, in order, and each one's per-sample output
+    shape. Each spec's size fields are checked, then its layer is built from
+    the spec fields and the build arguments its constructor names (weights
+    drawn from rng when draw is true), and out_shape chains the shapes from
+    the input to the class logits."""
+    if not config.layers:
+        raise ValueError("a network needs at least one layer, got none")
     shape = tuple(config.input_shape)
-    shapes = []
+    layers, shapes = [], []
     for i, spec in enumerate(config.layers):
-        kind = spec["type"]
-        for name, least in _SPEC_MINIMUMS.get(kind, {}).items():
-            if spec[name] < least:
-                raise ValueError(f"layer {i}: {kind} {name} must be >= {least}, got {spec[name]}")
-        if kind == "conv2d":
-            c, h, w = shape
-            if c != spec["in_ch"]:
-                raise ValueError(f"layer {i}: conv expects {spec['in_ch']} channels, got {c}")
-            k, s, p = spec["kernel"], spec["stride"], spec["padding"]
-            h2, rh = divmod(h + 2 * p - k, s)
-            w2, rw = divmod(w + 2 * p - k, s)
-            if rh or rw or h2 < 0 or w2 < 0:
-                raise ValueError(f"layer {i}: conv geometry mismatch on {shape}")
-            shape = (spec["out_ch"], h2 + 1, w2 + 1)
-        elif kind == "maxpool2d":
-            c, h, w = shape
-            k, s = spec["kernel"], spec["stride"]
-            if s != k or h < k or w < k:
-                raise ValueError(f"layer {i}: pool {k}x{k} at stride {s} does not tile {shape}")
-            shape = (c, h // k, w // k)
-        elif kind == "flatten":
-            shape = (int(np.prod(shape)),)
-        elif kind == "linear":
-            if len(shape) != 1 or shape[0] != spec["in_features"]:
-                raise ValueError(
-                    f"layer {i}: linear expects width {spec['in_features']}, got {shape}"
-                )
-            shape = (spec["out_features"],)
-        elif kind in ("relu", "dropout"):
-            pass
-        else:
-            raise ValueError(f"layer {i}: unknown layer type {kind!r}")
+        try:
+            kind = spec["type"]
+            cls = _LAYER_TYPES.get(kind)
+            if cls is None:
+                raise ValueError(f"unknown layer type {kind!r}")
+            for name, least in _SPEC_MINIMUMS.get(kind, {}).items():
+                if spec[name] < least:
+                    raise ValueError(f"{kind} {name} must be >= {least}, got {spec[name]}")
+            takes = inspect.signature(cls).parameters
+            args = {**spec, "dtype": dtype, "rng": rng, "draw": draw}
+            layers.append(cls(**{name: value for name, value in args.items() if name in takes}))
+            shape = layers[-1].out_shape(shape)
+        # the layer allocates its weights before out_shape checks its input,
+        # so sizes read from a file can fail there first
+        except (ValueError, MemoryError) as exc:
+            raise ValueError(f"layer {i}: {exc}") from None
         shapes.append(shape)
-    if shapes[-1] != (config.num_classes,):
-        raise ValueError(
-            f"final layer produces {shapes[-1]}, expected ({config.num_classes},)"
-        )
-    return shapes
+    if shape != (config.num_classes,):
+        raise ValueError(f"final layer produces {shape}, expected ({config.num_classes},)")
+    return layers, shapes
+
+
+def infer_shapes(config: NetworkConfig):
+    """Check config as a network build does; returns the per-layer output
+    shapes. The weights are allocated, uninitialized, but none is drawn."""
+    return _build(config)[1]
 
 
 def _backward(layer, grad_out, first, **kwargs):
@@ -552,34 +570,11 @@ class Network:
         overwrites every weight, the weights are left uninitialized and the
         stream is advanced past the draws they would have taken, so dropout
         masks come out as after a drawing build."""
-        infer_shapes(config)
         self.config = config
         self.dtype = dtype
         self.rng = np.random.default_rng(config.seed)
         self._caches = None  # per block layer, each sample's backward state
-        self.layers = []  # in config order
-        for spec in config.layers:
-            kind = spec["type"]
-            if kind == "conv2d":
-                self.layers.append(
-                    Conv2d(
-                        spec["in_ch"], spec["out_ch"], spec["kernel"],
-                        spec["stride"], spec["padding"], dtype=dtype, rng=self.rng, draw=draw,
-                    )
-                )
-            elif kind == "maxpool2d":
-                self.layers.append(MaxPool2d(spec["kernel"], spec["stride"]))
-            elif kind == "relu":
-                self.layers.append(ReLU())
-            elif kind == "dropout":
-                self.layers.append(Dropout(spec["p"], rng=self.rng))
-            elif kind == "flatten":
-                self.layers.append(Flatten())
-            elif kind == "linear":
-                self.layers.append(
-                    Linear(spec["in_features"], spec["out_features"], dtype=dtype, rng=self.rng,
-                           draw=draw)
-                )
+        self.layers, _ = _build(config, dtype, self.rng, draw)  # in config order
         if not draw:  # one 64-bit output per weight, as _fill_uniform draws them
             self.rng.bit_generator.advance(sum(layer.weight.size for layer in self.layers
                                                if layer.params))
@@ -719,8 +714,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
 
@@ -837,9 +832,31 @@ def _names_fit(class_names, num_classes: int) -> bool:
             and all(isinstance(name, str) for name in class_names))
 
 
+def _check_finite(tensor, what, source=None):
+    """Raise ValueError naming what when tensor holds an inf or NaN; with
+    source, first copy source (of tensor's shape) into it. Runs by blocks of
+    whole rows of at most _CHECK_VALUES values, so each block is still in
+    cache when its min and max, which pass NaN through, read it: at 300x300
+    that added 3 ms to a checkpoint load, against 25-29 ms for a whole-tensor
+    check after the copy."""
+    rows = tensor.reshape(len(tensor), -1)
+    step = max(1, _CHECK_VALUES // rows.shape[1])
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        if source is not None:
+            np.copyto(block, source.reshape(rows.shape)[start : start + step])
+        if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+            raise ValueError(f"{what} holds an inf or NaN")
+
+
+def _param_name(net, owner, name):
+    return f"layer {net.layers.index(owner)} {name}"
+
+
 def save_checkpoint(net: Network, class_names=None) -> bytes:
     """Versioned binary: magic, version, JSON header, float32 LE tensors.
-    Each tensor's buffer is joined in once, without an intermediate copy."""
+    Each tensor's buffer is joined in once, without an intermediate copy. A
+    tensor that holds an inf or NaN raises ValueError."""
     class_names = list(class_names or [])
     if not _names_fit(class_names, net.config.num_classes):
         raise ValueError(f"class_names must be 0 or {net.config.num_classes} strings")
@@ -854,6 +871,7 @@ def save_checkpoint(net: Network, class_names=None) -> bytes:
     ]
     for owner, name in params:
         arr = np.ascontiguousarray(getattr(owner, name), dtype="<f4")
+        _check_finite(arr, f"cannot save a non-finite network: {_param_name(net, owner, name)}")
         parts.append(struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape))
         parts.append(memoryview(arr).cast("B"))
     return b"".join(parts)
@@ -862,7 +880,8 @@ def save_checkpoint(net: Network, class_names=None) -> bytes:
 def load_checkpoint(blob: bytes):
     """Rebuild a Network from checkpoint bytes; returns (net, class_names).
     The network is built without drawing weights, and tensors are read
-    through views of the blob and copied straight into its arrays."""
+    through views of the blob and copied straight into its arrays. A tensor
+    that holds an inf or NaN raises ValueError."""
     view = memoryview(blob)
     pos = 0
 
@@ -902,7 +921,8 @@ def load_checkpoint(blob: bytes):
         if shape != target.shape:
             raise ValueError(f"checkpoint tensor shape {shape} does not match {target.shape}")
         n = int(np.prod(shape)) if ndim else 1
-        np.copyto(target, np.frombuffer(read(4 * n, "tensor data"), dtype="<f4").reshape(shape))
+        _check_finite(target, f"checkpoint tensor {_param_name(net, owner, name)}",
+                      source=np.frombuffer(read(4 * n, "tensor data"), dtype="<f4"))
     if pos != len(view):
         raise ValueError("trailing bytes after checkpoint payload")
     return net, class_names

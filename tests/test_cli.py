@@ -8,7 +8,8 @@ from wvdnet.cli import _config_from_args, build_parser, main
 from wvdnet.config import RunConfig, build_config, config_hash
 from wvdnet.errors import ConfigError
 from wvdnet.datasets import write_wav_pcm16
-from wvdnet.neuralnet import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, reference_config
+from wvdnet.neuralnet import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Network, reference_config,
+                              save_checkpoint)
 from wvdnet.tfd import image_from_csv
 
 BASE_FLAGS = [
@@ -189,6 +190,9 @@ class TestStreamCommand:
         .replace(b'"stride": 1', b'"stride": 0', 1),
         # a first pool whose 2x2 windows overlap (stride 1), fc1 sized to match
         json.dumps({"network": overlapping_first_pool()}).encode(),
+        # no layers, which once crashed on the final width check
+        json.dumps({"network": {**reference_config((1, 64, 64), 3).to_dict(), "layers": []}})
+        .encode(),
     ])
     def test_malformed_checkpoint_header_exits_2(self, workspace, tmp_path, capsys, header):
         wav = tmp_path / "long.wav"
@@ -201,6 +205,18 @@ class TestStreamCommand:
         ] + BASE_FLAGS)
         assert code == 2
         assert "malformed checkpoint header" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_weight_exits_2(self, workspace, tmp_path, capsys):
+        wav = tmp_path / "long.wav"
+        write_wav_pcm16(wav, np.zeros(20000), 4000.0)
+        blob = save_checkpoint(Network(reference_config((1, 64, 64), 3)))
+        ckpt = tmp_path / "nan.wvdn"
+        ckpt.write_bytes(blob[:-4] + struct.pack("<f", np.nan))  # the last logit's bias
+        code = main([
+            "stream", str(wav), "--out", str(workspace["store"]), "--checkpoint", str(ckpt),
+        ] + BASE_FLAGS)
+        assert code == 2
+        assert "checkpoint tensor layer 14 bias holds an inf or NaN" in capsys.readouterr().err
 
 
 class TestExportCommand:

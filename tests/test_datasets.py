@@ -550,6 +550,14 @@ class TestLoadStore:
         with pytest.raises(DataError, match=r"00001_clip\.f32: expected 16 "):
             load_store(tmp_path)
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_image_rejected(self, tmp_path, value):
+        images = np.zeros((3, 1, 4, 4), dtype=np.float32)
+        images[1, 0, 2, 3] = value
+        write_store(tmp_path, images)
+        with pytest.raises(DataError, match=r"00001_clip\.f32: image holds an inf or NaN"):
+            load_store(tmp_path)
+
     @pytest.mark.parametrize("field, value", [
         ("image_rows", "4"), ("image_cols", None), ("clips", {}), ("class_names", "ab"),
         ("config_hash", 0), ("file", 3), ("label", "1"), ("fold", "2"), ("fold", 1.0),

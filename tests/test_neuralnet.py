@@ -490,6 +490,12 @@ def small_config(seed=0, classes=3):
     return reference_config((1, 16, 16), classes, seed=seed)
 
 
+def resized(network, index, field, value):
+    """The network dict with its layer index's field set to value."""
+    network["layers"][index][field] = value
+    return network
+
+
 def small_dataset(n=12, classes=3, seed=1):
     rng = np.random.default_rng(seed)
     images = rng.random((n, 1, 16, 16), dtype=np.float32)
@@ -778,6 +784,9 @@ class TestTraining:
             TrainConfig(epochs=1, batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, momentum=1.0)
+        for rate in (np.nan, np.inf):  # train once returned such a run's NaN weights
+            with pytest.raises(ValueError, match="learning_rate must be finite"):
+                TrainConfig(epochs=1, learning_rate=rate)
 
 
 def held_state(net):
@@ -995,6 +1004,12 @@ class TestCheckpoint:
         {"network": small_config().to_dict(), "class_names": [1, 2, 3]},
         {"network": {**small_config().to_dict(), "seed": "abc"}},
         {"network": {**small_config().to_dict(), "num_classes": 4}},
+        {"network": {**small_config().to_dict(), "layers": []}},
+        # weights of 1 PB and more, which no allocation can give: a width
+        # that does not chain, and widths that do
+        {"network": resized(small_config().to_dict(), 11, "in_features", 10**12)},
+        {"network": resized(resized(small_config().to_dict(), 11, "out_features", 10**12), 14,
+                            "in_features", 10**12)},
         b"{not json",
     ])
     def test_malformed_header_rejected(self, header):
@@ -1039,6 +1054,32 @@ class TestCheckpoint:
             assert a.tobytes() == b.tobytes()
         assert restored.rng.bit_generator.state == net.rng.bit_generator.state
 
+    # small_config's parameters: layers 0, 3 and 6 (conv), 11 and 14 (linear)
+    @pytest.mark.parametrize("index,name,value", [
+        (0, "weight", np.nan), (11, "weight", np.nan), (11, "bias", np.inf), (14, "bias", -np.inf),
+    ])
+    def test_non_finite_tensor_in_checkpoint_rejected(self, index, name, value):
+        net = Network(small_config())
+        blob = bytearray(save_checkpoint(net))
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        pos = 12 + hlen + 4  # past the header and the tensor count
+        for owner, param in net.param_arrays():
+            tensor = getattr(owner, param)
+            pos += 4 + 4 * tensor.ndim  # past the rank and shape
+            if owner is net.layers[index] and param == name:
+                blob[pos + 8 : pos + 12] = struct.pack("<f", value)  # its third value
+                break
+            pos += tensor.nbytes
+        with pytest.raises(ValueError, match=f"checkpoint tensor layer {index} {name} holds an "
+                                             "inf or NaN"):
+            load_checkpoint(bytes(blob))
+
+    def test_save_refuses_non_finite_weight(self):
+        net = Network(small_config())
+        net.layers[11].weight[3, 5] = np.inf
+        with pytest.raises(ValueError, match="non-finite network: layer 11 weight holds"):
+            save_checkpoint(net)
+
     def test_load_peak_rss_stays_below_twice_fc1(self, tmp_path):
         net = Network(reference_config((1, 128, 128), 3))
         fc1 = net.layers[11].weight.nbytes
@@ -1051,6 +1092,10 @@ class TestCheckpoint:
                   f"blob = Path({str(path)!r}).read_bytes()",
         )
         assert growth < 2 * fc1, f"load_checkpoint grew RSS by {growth / fc1:.2f}x fc1"
+
+
+CONV = {"type": "conv2d", "in_ch": 1, "out_ch": 4, "kernel": 3, "stride": 1, "padding": 1}
+POOL4 = {"type": "maxpool2d", "kernel": 4, "stride": 4}
 
 
 class TestConfigValidation:
@@ -1068,8 +1113,32 @@ class TestConfigValidation:
     def test_pool_stride_other_than_kernel_rejected(self, stride):
         network = small_config().to_dict()
         network["layers"][2]["stride"] = stride
-        with pytest.raises(ValueError, match=f"layer 2: pool 2x2 at stride {stride} does not tile"):
+        with pytest.raises(ValueError, match=f"layer 2: pool kernel 2, stride {stride}: need both "
+                                             "equal"):
             infer_shapes(NetworkConfig.from_dict(network))
+
+    # each case: layer specs and input shape, the index of the layer that
+    # cannot take its input, that layer on its own and the input it gets
+    @pytest.mark.parametrize("specs,input_shape,index,layer,x_shape", [
+        pytest.param([CONV], (2, 8, 8), 0, Conv2d(1, 4, 3, 1, 1), (2, 8, 8), id="conv-channels"),
+        pytest.param([{"type": "relu"}, {**CONV, "stride": 2, "padding": 0}], (1, 8, 8), 1,
+                     Conv2d(1, 4, 3, 2, 0), (1, 8, 8), id="conv-geometry"),
+        pytest.param([CONV, POOL4, POOL4], (1, 8, 8), 2, MaxPool2d(4, 4), (4, 2, 2),
+                     id="pool-window"),
+        pytest.param([{"type": "flatten"}, {"type": "linear", "in_features": 10, "out_features": 3}],
+                     (1, 4, 4), 1, Linear(10, 3), (16,), id="linear-width"),
+    ])
+    def test_chain_error_is_the_layer_forward_error(self, specs, input_shape, index, layer,
+                                                    x_shape):
+        with pytest.raises(ValueError) as chained:
+            infer_shapes(NetworkConfig(tuple(specs), input_shape, 3))
+        with pytest.raises(ValueError) as direct:
+            layer.forward(np.zeros((2, *x_shape), dtype=np.float32))
+        assert str(chained.value) == f"layer {index}: {direct.value}"
+
+    def test_empty_layer_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one layer"):
+            infer_shapes(NetworkConfig((), (3,), 3))
 
     def test_final_width_must_match_classes(self):
         config = reference_config((1, 16, 16), 3)
