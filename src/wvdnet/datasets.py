@@ -130,6 +130,20 @@ class ClipRecord:
     fold: int | None
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _label_fold_fault(label, fold, num_classes: int) -> str | None:
+    """What is wrong with a clip's label (a class index; a bool is not one)
+    or fold (None, or from 1 up), or None when both hold."""
+    if not (_is_int(label) and 0 <= label < num_classes):
+        return f"label {label!r} is not a class index in 0..{num_classes - 1}"
+    if fold is not None and not (_is_int(fold) and fold >= 1):
+        return f"fold {fold!r} is neither null nor >= 1"
+    return None
+
+
 @dataclass(frozen=True)
 class DatasetManifest:
     records: tuple
@@ -141,10 +155,9 @@ class DatasetManifest:
         if len(set(self.class_names)) != len(self.class_names):
             raise ValueError("class names must be unique")
         for rec in self.records:
-            if not 0 <= rec.label < len(self.class_names):
-                raise ValueError(f"record {rec.path} label {rec.label} out of range")
-            if rec.fold is not None and rec.fold < 1:
-                raise ValueError(f"record {rec.path} has fold {rec.fold}; folds start at 1")
+            fault = _label_fold_fault(rec.label, rec.fold, len(self.class_names))
+            if fault:
+                raise ValueError(f"record {rec.path}: {fault}")
 
     def __len__(self) -> int:
         return len(self.records)
@@ -367,7 +380,8 @@ _CLIP_FIELDS = {"file": str, "label": int, "fold": (int, type(None))}
 
 def _read_store_meta(out_dir: Path) -> dict:
     """Parse out_dir's store.json; DataError unless it and each of its clips is
-    a JSON object holding every field load_store reads, with a value of its type."""
+    a JSON object holding every field load_store reads, with a value of its
+    type, and each clip's label and fold pass the manifest's rule."""
     store_path = out_dir / "store.json"
     if not store_path.is_file():
         raise DataError(f"no preprocessed store at {out_dir} (missing store.json)")
@@ -375,6 +389,9 @@ def _read_store_meta(out_dir: Path) -> dict:
     _check_fields("the top level", meta, _STORE_FIELDS)
     for i, clip in enumerate(meta["clips"]):
         _check_fields(f"clip {i}", clip, _CLIP_FIELDS)
+        fault = _label_fold_fault(clip["label"], clip["fold"], len(meta["class_names"]))
+        if fault:
+            raise DataError(f"malformed store.json: clip {i} ({clip['file']}): {fault}")
     return meta
 
 

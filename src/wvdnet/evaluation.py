@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .neuralnet import Network, predict, predict_labels
+from .neuralnet import Network, predict
 from .pipeline import clip_to_image
 from .signal_core import Signal
 
@@ -50,44 +50,23 @@ def compute_report(true_labels, pred_labels, class_names) -> EvalReport:
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (true_labels, pred_labels), 1)
     diag = np.diag(confusion).astype(np.float64)
-    row_sums = confusion.sum(axis=1).astype(np.float64)
-    col_sums = confusion.sum(axis=0).astype(np.float64)
-
-    flagged = []
-    per_class = []
-    for c in range(k):
-        precision = diag[c] / col_sums[c] if col_sums[c] else 0.0
-        recall = diag[c] / row_sums[c] if row_sums[c] else 0.0
-        if not col_sums[c] or not row_sums[c]:
-            flagged.append(class_names[c])
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        per_class.append(
-            {
-                "name": class_names[c],
-                "precision": precision,
-                "recall": recall,
-                "f1": f1,
-                "support": int(row_sums[c]),
-            }
-        )
-    total = int(confusion.sum())
-    accuracy = float(np.trace(confusion)) / total
-    macro = {
-        "precision": float(np.mean([p["precision"] for p in per_class])),
-        "recall": float(np.mean([p["recall"] for p in per_class])),
-        "f1": float(np.mean([p["f1"] for p in per_class])),
-        "support": total,
-    }
-    weights = np.array([p["support"] for p in per_class], dtype=np.float64) / total
-    weighted = {
-        "precision": float(np.sum(weights * [p["precision"] for p in per_class])),
-        "recall": float(np.sum(weights * [p["recall"] for p in per_class])),
-        "f1": float(np.sum(weights * [p["f1"] for p in per_class])),
-        "support": total,
-    }
-    return EvalReport(
-        confusion, tuple(per_class), accuracy, macro, weighted, tuple(class_names), tuple(flagged)
-    )
+    support = confusion.sum(axis=1)
+    predicted = confusion.sum(axis=0)
+    precision = np.divide(diag, predicted, out=np.zeros(k), where=predicted > 0)
+    recall = np.divide(diag, support, out=np.zeros(k), where=support > 0)
+    both = precision + recall
+    scores = {"precision": precision, "recall": recall,
+              "f1": np.divide(2 * precision * recall, both, out=np.zeros(k), where=both > 0)}
+    names = tuple(class_names)
+    per_class = tuple({"name": name, **{key: float(v[c]) for key, v in scores.items()},
+                       "support": int(support[c])} for c, name in enumerate(names))
+    total = int(support.sum())
+    weights = support / total
+    macro = {key: float(v.mean()) for key, v in scores.items()}
+    weighted = {key: float(np.sum(weights * v)) for key, v in scores.items()}
+    flagged = tuple(names[c] for c in np.flatnonzero((predicted == 0) | (support == 0)))
+    return EvalReport(confusion, per_class, float(np.trace(confusion)) / total,
+                      {**macro, "support": total}, {**weighted, "support": total}, names, flagged)
 
 
 def evaluate(net: Network, images, labels, class_names) -> EvalReport:
@@ -97,11 +76,7 @@ def evaluate(net: Network, images, labels, class_names) -> EvalReport:
             f"class count mismatch: network predicts {net.config.num_classes}, "
             f"test set has {len(class_names)}"
         )
-    images = np.asarray(images)
-    labels = np.asarray(labels, dtype=int)
-    if len(images) == 0:
-        raise ValueError("cannot evaluate on an empty test set")
-    return compute_report(labels, predict_labels(net, images), class_names)
+    return compute_report(labels, predict(net, images)[0], class_names)
 
 
 def render_report(report: EvalReport) -> str:
@@ -178,8 +153,9 @@ def stream_infer(net: Network, signal: Signal, cfg: RunConfig) -> list[StreamPre
     for start in range(0, len(signal) - win + 1, hop):
         piece = Signal(signal.samples[start : start + win], rate)
         image = clip_to_image(piece, cfg, work=work)
-        label, probs = predict(net, image.values[None].astype(np.float32))
-        predictions.append(StreamPrediction(start / rate, (start + win) / rate, label, probs))
+        labels, probs = predict(net, image.values[None, None].astype(np.float32))
+        predictions.append(StreamPrediction(start / rate, (start + win) / rate, int(labels[0]),
+                                            probs[0]))
     return predictions
 
 

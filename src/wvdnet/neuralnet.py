@@ -34,9 +34,10 @@ parameter gradients in that order, as Conv2d.backward does within a batch,
 so both give the same bits. Conv2d builds im2col columns one sample at a
 time.
 
-A scoring forward, Network.forward with train false (predict,
-predict_labels, accuracy, evaluation and every stream window), keeps nothing
-for backward: Network saves no per-sample state, so each block layer's
+predict is the one scoring function: evaluation, every stream window and
+train()'s per-epoch eval all call it, and it scores a batch 32 images at a
+time through a scoring forward, Network.forward with train false. That keeps
+nothing for backward: Network saves no per-sample state, so each block layer's
 _cache holds only the sample it last ran, and every layer's _cache is
 cleared before the forward returns. Network.backward needs a train=True
 forward first. A layer called on its own keeps its _cache whatever its
@@ -590,12 +591,10 @@ class Network:
                 self._blocks.append(layer)
 
     def forward(self, x, train=False):
-        """The logits of a batch, or of one image as a batch of one. With
-        train false (scoring) nothing is kept for backward: no per-sample
-        state, and no layer's _cache once the forward returns."""
+        """The logits of a batch. With train false (scoring) nothing is kept
+        for backward: no per-sample state, and no layer's _cache once the
+        forward returns."""
         x = np.asarray(x, dtype=self.dtype)
-        if x.ndim == 3:
-            x = x[None]
         if x.shape[1:] != tuple(self.config.input_shape):
             raise ValueError(
                 f"input shape {x.shape[1:]} does not match network input "
@@ -676,26 +675,23 @@ class Network:
             setattr(owner, name, arr.copy())
 
 
-def _finite(logits):
-    """logits, which must hold no inf or NaN: argmax would read NaN as class 0."""
-    if not np.isfinite(logits).all():
-        raise ValueError("the network gave non-finite logits: a weight or input is inf or NaN")
-    return logits
-
-
-def predict(net: Network, image):
-    """Eval-mode class index and probability vector for a single image."""
-    image = np.asarray(image)
-    if image.shape != tuple(net.config.input_shape):
-        raise ValueError(
-            f"image shape {image.shape} does not match network input "
-            f"{tuple(net.config.input_shape)}"
-        )
-    logits = _finite(net.forward(image[None], train=False)[0]).astype(np.float64)
-    shifted = logits - logits.max()
-    probs = np.exp(shifted)
-    probs /= probs.sum()
-    return int(np.argmax(logits)), probs
+def predict(net: Network, images):
+    """Eval-mode class indices [B] and float64 probabilities [B, K] for a
+    batch [B, C, H, W], scored 32 images at a time. Each probability row is
+    the softmax of its logits in float64: minus the row max, exp, over the
+    row sum. Non-finite logits raise ValueError: argmax would read NaN as
+    class 0."""
+    labels = np.empty(len(images), dtype=int)
+    probs = np.empty((len(images), net.config.num_classes))
+    for start in range(0, len(images), 32):
+        rows = slice(start, start + 32)
+        logits = net.forward(images[rows], train=False).astype(np.float64)
+        if not np.isfinite(logits).all():
+            raise ValueError("the network gave non-finite logits: a weight or input is inf or NaN")
+        labels[rows] = logits.argmax(axis=1)
+        np.exp(logits - logits.max(axis=1, keepdims=True), out=probs[rows])
+        probs[rows] /= probs[rows].sum(axis=1, keepdims=True)
+    return labels, probs
 
 
 # -- training ----------------------------------------------------------------
@@ -718,21 +714,6 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-
-
-def predict_labels(net: Network, images) -> np.ndarray:
-    """Eval-mode class index for each image, scored in batches of 32."""
-    labels = np.empty(len(images), dtype=int)
-    for start in range(0, len(images), 32):
-        logits = _finite(net.forward(images[start : start + 32], train=False))
-        labels[start : start + 32] = logits.argmax(axis=1)
-    return labels
-
-
-def accuracy(net: Network, images, labels) -> float:
-    if len(images) == 0:
-        raise ValueError("cannot score an empty evaluation set")
-    return int((predict_labels(net, images) == labels).sum()) / len(images)
 
 
 def _sgd_update(param, vel, grad, cfg):
@@ -811,7 +792,9 @@ def train(
             net.drop_state()
         row = {"epoch": epoch, "train_loss": float(np.mean(losses)), "eval_accuracy": None}
         if eval_images is not None and len(eval_images):
-            row["eval_accuracy"] = accuracy(net, eval_images, eval_labels)
+            hits = int((predict(net, eval_images)[0] == eval_labels).sum())
+            # int / int, a Python float: history.csv writes its repr
+            row["eval_accuracy"] = hits / len(eval_images)
             if row["eval_accuracy"] >= best_accuracy:
                 best_accuracy = row["eval_accuracy"]
                 # the last epoch's weights are already in place

@@ -2,8 +2,9 @@
 evaluation of the quadratic time-frequency sum used as the independent oracle,
 the earlier full-lag form of pseudo_wvd kept as a reference, the all-rows
 hfft form of pseudo_wvd and the two-pass bilinear resize kept as a bitwise
-oracle for the row-selecting chain, a tracemalloc probe, and a
-fresh-interpreter runner with a peak-RSS probe and a minor-fault counter
+oracle for the row-selecting chain, the per-class report loop kept as the
+reference for the array report, a tracemalloc probe, and a fresh-interpreter
+runner with a peak-RSS probe and a minor-fault counter
 built on it."""
 
 import os
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from wvdnet.evaluation import EvalReport
 from wvdnet.tfd import TFDImage
 
 
@@ -158,6 +160,35 @@ def two_pass_resize_bilinear(image, out_rows, out_cols, work=None):
     time_axis = interp_1d(image.time_axis_s, rpos, axis=0)
     freq_axis = interp_1d(image.freq_axis_hz, cpos, axis=0)
     return TFDImage(values, time_axis, freq_axis, image.source_rate_hz, image.kind)
+
+
+def reference_report(true_labels, pred_labels, class_names):
+    """compute_report as a loop over classes, each score a scalar division
+    guarded by a zero check, and the averages read back from its dicts."""
+    k = len(class_names)
+    confusion = np.zeros((k, k), dtype=np.int64)
+    np.add.at(confusion, (np.asarray(true_labels), np.asarray(pred_labels)), 1)
+    diag = np.diag(confusion).astype(np.float64)
+    row_sums = confusion.sum(axis=1).astype(np.float64)
+    col_sums = confusion.sum(axis=0).astype(np.float64)
+    flagged = []
+    per_class = []
+    for c in range(k):
+        precision = diag[c] / col_sums[c] if col_sums[c] else 0.0
+        recall = diag[c] / row_sums[c] if row_sums[c] else 0.0
+        if not col_sums[c] or not row_sums[c]:
+            flagged.append(class_names[c])
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        per_class.append({"name": class_names[c], "precision": precision, "recall": recall,
+                          "f1": f1, "support": int(row_sums[c])})
+    total = int(confusion.sum())
+    accuracy = float(np.trace(confusion)) / total
+    keys = ("precision", "recall", "f1")
+    macro = {key: float(np.mean([p[key] for p in per_class])) for key in keys}
+    weights = np.array([p["support"] for p in per_class], dtype=np.float64) / total
+    weighted = {key: float(np.sum(weights * [p[key] for p in per_class])) for key in keys}
+    return EvalReport(confusion, tuple(per_class), accuracy, {**macro, "support": total},
+                      {**weighted, "support": total}, tuple(class_names), tuple(flagged))
 
 
 def traced_memory(call):

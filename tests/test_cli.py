@@ -7,7 +7,8 @@ import pytest
 from wvdnet.cli import _config_from_args, build_parser, main
 from wvdnet.config import RunConfig, build_config, config_hash
 from wvdnet.errors import ConfigError
-from wvdnet.datasets import write_wav_pcm16
+from wvdnet.datasets import decode_wav, write_wav_pcm16
+from wvdnet.evaluation import StreamPrediction, majority_vote
 from wvdnet.neuralnet import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Network, reference_config,
                               save_checkpoint)
 from wvdnet.tfd import image_from_csv
@@ -26,6 +27,22 @@ def overlapping_first_pool():
     network["layers"][2]["stride"] = 1
     network["layers"][11]["in_features"] = 64 * 15 * 15  # 64 -> 63 -> 31 -> 15
     return network
+
+
+def assert_history_rows(path, with_eval):
+    """Every history.csv row is epoch,train_loss,eval_accuracy as int,float,float,
+    the last field empty without an eval set; an np.float64 would print as
+    np.float64(...)."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "epoch,train_loss,eval_accuracy"
+    for epoch, line in enumerate(lines[1:], start=1):
+        fields = line.split(",")
+        assert len(fields) == 3 and fields[0] == str(epoch), line
+        float(fields[1])
+        if with_eval:
+            assert 0.0 <= float(fields[2]) <= 1.0, line
+        else:
+            assert fields[2] == "", line
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +93,19 @@ class TestPreprocessCommand:
         assert "up to date" in capsys.readouterr().out
         assert (store / "index.csv").read_bytes() == index_bytes
 
+    def test_store_with_bad_label_is_rebuilt(self, workspace, tmp_path, capsys):
+        flags = ["--dataset-root", str(workspace["data"]), "--source", "folder_per_class",
+                 "--out", str(tmp_path)] + BASE_FLAGS
+        assert main(["preprocess"] + flags) == 0
+        good = (tmp_path / "store.json").read_bytes()
+        meta = json.loads(good)
+        meta["clips"][0]["label"] = 7
+        (tmp_path / "store.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["preprocess"] + flags) == 0
+        assert "up to date" not in capsys.readouterr().out
+        assert (tmp_path / "store.json").read_bytes() == good
+
     def test_missing_root_exits_2_without_partial_index(self, tmp_path):
         out = tmp_path / "store"
         code = main([
@@ -93,6 +123,7 @@ class TestTrainCommand:
         history = (store / "history.csv").read_text().splitlines()
         assert history[0] == "epoch,train_loss,eval_accuracy"
         assert len(history) == 31  # header + 30 epochs
+        assert_history_rows(store / "history.csv", with_eval=False)
 
     def test_zero_epochs_gives_initial_checkpoint_and_empty_history(self, workspace, tmp_path):
         store = workspace["store"]
@@ -116,6 +147,16 @@ class TestTrainCommand:
 
     def test_missing_store_exits_2(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "empty")] + BASE_FLAGS) == 2
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("field, value", [("label", 7), ("label", True), ("fold", 0)])
+    def test_bad_label_or_fold_in_store_exits_2(self, workspace, tmp_path, capsys, command,
+                                                field, value):
+        meta = json.loads((workspace["store"] / "store.json").read_text())
+        meta["clips"][1][field] = value
+        (tmp_path / "store.json").write_text(json.dumps(meta))
+        assert main([command, "--out", str(tmp_path)] + BASE_FLAGS) == 2
+        assert f"clip 1 ({meta['clips'][1]['file']}): {field} {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("breakage", ["no image_rows", "clip without label", "list"])
     def test_malformed_store_json_exits_2(self, workspace, tmp_path, capsys, breakage):
@@ -172,6 +213,40 @@ class TestStreamCommand:
         assert len(lines) == 8  # header + floor((10-4)/1)+1 windows
         starts = [float(l.split(",")[0]) for l in lines[1:]]
         assert starts == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+    def test_vote_windows_relabels_by_majority_and_keeps_probabilities(self, workspace,
+                                                                         tmp_path):
+        # the synth clips of classes tone, chirp, noise and tone again, 4 s
+        # each, so the labels change along the 13 windows
+        clips = {d.name: next(d.glob("*.wav")) for d in workspace["data"].iterdir()}
+        parts = [decode_wav(clips[name].read_bytes())[0]
+                 for name in ("0_tone", "1_chirp", "2_noise", "0_tone")]
+        wav = tmp_path / "mixed.wav"
+        write_wav_pcm16(wav, np.concatenate([p.samples for p in parts]), parts[0].sample_rate_hz)
+        rows = {}
+        for k in (1, 3):
+            out_csv = tmp_path / f"vote{k}.csv"
+            assert main(["stream", str(wav), "--out", str(workspace["store"]), "--output",
+                         str(out_csv), "--vote-windows", str(k)] + BASE_FLAGS) == 0
+            rows[k] = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+        assert len(rows[1]) == 13
+        labels = [int(row[2]) for row in rows[1]]
+        assert len(set(labels)) > 1
+        voted = majority_vote([StreamPrediction(0.0, 0.0, label, None) for label in labels], 3)
+        assert [p.label for p in voted] != labels  # the vote relabels some windows
+        assert [int(row[2]) for row in rows[3]] == [p.label for p in voted]
+        names = ["0_tone", "1_chirp", "2_noise"]
+        assert [row[3] for row in rows[3]] == [names[p.label] for p in voted]
+        for raw, smoothed in zip(rows[1], rows[3]):
+            assert smoothed[:2] + smoothed[4:] == raw[:2] + raw[4:]
+
+    def test_even_vote_windows_exits_1(self, workspace, tmp_path):
+        wav = tmp_path / "long.wav"
+        write_wav_pcm16(wav, np.zeros(20000), 4000.0)
+        out_csv = tmp_path / "stream.csv"
+        assert main(["stream", str(wav), "--out", str(workspace["store"]), "--output",
+                     str(out_csv), "--vote-windows", "2"] + BASE_FLAGS) == 1
+        assert not out_csv.exists()
 
     def test_too_short_input_exits_2(self, workspace, tmp_path):
         wav = tmp_path / "short.wav"
@@ -272,6 +347,7 @@ class TestFoldSplit:
         store = self.make_folded_store(tmp_path)
         flags = self.FOLD_FLAGS + ["--test-fold", "2"]
         assert main(["train", "--out", str(store)] + flags) == 0
+        assert_history_rows(store / "history.csv", with_eval=True)
         assert main(["evaluate", "--out", str(store), "--split", "test"] + flags) == 0
         import json
 

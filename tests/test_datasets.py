@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -10,6 +11,7 @@ from conftest import peak_rss_growth
 from wvdnet import datasets
 from wvdnet.config import RunConfig, build_config
 from wvdnet.datasets import (
+    ClipRecord,
     DatasetManifest,
     decode_wav,
     is_store_current,
@@ -166,6 +168,29 @@ def make_folder_dataset(root, spec, rate=4000.0, seconds=0.5, seed=0):
         for i in range(count):
             freq = rng.uniform(300, 700)
             write_wav_pcm16(directory / f"clip_{i:03d}.wav", 0.5 * np.sin(2 * np.pi * freq * t), rate)
+
+
+# (field, value, the error's text) for a clip whose label or fold is out of
+# range; a bool is not an int here
+BAD_LABELS_AND_FOLDS = [
+    ("label", 7, "label 7 is not a class index in 0..1"),
+    ("label", -1, "label -1 is not a class index in 0..1"),
+    ("label", True, "label True is not a class index in 0..1"),
+    ("fold", -1, "fold -1 is neither null nor >= 1"),
+    ("fold", 0, "fold 0 is neither null nor >= 1"),
+    ("fold", True, "fold True is neither null nor >= 1"),
+]
+
+
+class TestManifestRecords:
+    @pytest.mark.parametrize("field, value, fault", BAD_LABELS_AND_FOLDS)
+    def test_bad_label_or_fold_rejected(self, field, value, fault):
+        record = ClipRecord(**{"path": "x.wav", "label": 1, "fold": 2, field: value})
+        with pytest.raises(ValueError, match=re.escape(f"record x.wav: {fault}")):
+            DatasetManifest((record,), ("a", "b"))
+
+    def test_null_fold_accepted(self):
+        assert len(DatasetManifest((ClipRecord("x.wav", 1, None),), ("a", "b"))) == 1
 
 
 class TestFolderManifest:
@@ -499,6 +524,23 @@ class TestPreprocess:
         index_file.unlink()
         assert not is_store_current(manifest, cfg, out)
 
+    @pytest.mark.parametrize("field, value, fault", BAD_LABELS_AND_FOLDS)
+    def test_bad_label_or_fold_is_not_current(self, tmp_path, field, value, fault):
+        root = tmp_path / "data"
+        make_folder_dataset(root, {"a": 1, "b": 1})
+        manifest = load_manifest(root, "folder_per_class")
+        cfg = build_config({}, SMALL_CFG)
+        out = tmp_path / "store"
+        preprocess_dataset(manifest, cfg, out)
+        meta = json.loads((out / "store.json").read_text())
+        for clip in meta["clips"]:  # folder_per_class leaves folds null
+            clip["fold"] = 1
+        (out / "store.json").write_text(json.dumps(meta))
+        assert is_store_current(manifest, cfg, out)
+        meta["clips"][0][field] = value
+        (out / "store.json").write_text(json.dumps(meta))
+        assert not is_store_current(manifest, cfg, out)
+
     @pytest.mark.parametrize("breakage", ["list", "clip not an object"])
     def test_malformed_store_json_is_not_current(self, tmp_path, breakage):
         root = tmp_path / "data"
@@ -568,6 +610,16 @@ class TestLoadStore:
         (meta["clips"][1] if field in ("file", "label", "fold") else meta)[field] = value
         (tmp_path / "store.json").write_text(json.dumps(meta))
         with pytest.raises(DataError, match=f"malformed store.json: .*'{field}'"):
+            load_store(tmp_path)
+
+    @pytest.mark.parametrize("field, value, fault", BAD_LABELS_AND_FOLDS)
+    def test_bad_label_or_fold_is_a_data_error(self, tmp_path, field, value, fault):
+        write_store(tmp_path, np.zeros((3, 1, 4, 4), dtype=np.float32), folds=[1, 2, 1])
+        meta = json.loads((tmp_path / "store.json").read_text())
+        meta["clips"][1][field] = value
+        (tmp_path / "store.json").write_text(json.dumps(meta))
+        with pytest.raises(DataError, match=re.escape(
+                f"malformed store.json: clip 1 (arrays/00001_clip.f32): {fault}")):
             load_store(tmp_path)
 
     def test_peak_rss_stays_below_one_and_a_half_times_the_data(self, tmp_path):

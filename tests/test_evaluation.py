@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import reference_report
 
 from wvdnet.config import build_config
 from wvdnet.evaluation import (
@@ -61,6 +62,26 @@ class TestComputeReport:
         b = compute_report(true[order], pred[order], ("a", "b", "c"))
         np.testing.assert_array_equal(a.confusion, b.confusion)
         assert a.accuracy == b.accuracy
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_per_class_reference(self, seed):
+        # 1-11 classes over few samples, so some classes have no support
+        # and some are never predicted
+        rng = np.random.default_rng(seed)
+        no_support = never_predicted = 0
+        for _ in range(60):
+            k = int(rng.integers(1, 12))
+            n = int(rng.integers(1, 3 * k + 2))
+            true = rng.integers(0, k, n)
+            pred = np.where(rng.random(n) < 0.5, true, rng.integers(0, k, n))
+            names = tuple(f"c{c}" for c in range(k))
+            got, want = compute_report(true, pred, names), reference_report(true, pred, names)
+            assert report_to_json(got, 3, "h") == report_to_json(want, 3, "h")
+            assert render_report(got) == render_report(want)
+            assert got.zero_denominator_classes == want.zero_denominator_classes
+            no_support += int((np.bincount(true, minlength=k) == 0).sum())
+            never_predicted += int((np.bincount(pred, minlength=k) == 0).sum())
+        assert no_support and never_predicted
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):

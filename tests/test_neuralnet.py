@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import struct
 import threading
 
@@ -20,11 +21,9 @@ from wvdnet.neuralnet import (
     NetworkConfig,
     ReLU,
     TrainConfig,
-    accuracy,
     infer_shapes,
     load_checkpoint,
     predict,
-    predict_labels,
     reference_config,
     save_checkpoint,
     softmax_cross_entropy,
@@ -647,7 +646,7 @@ def reference_train(config, images, labels, cfg, eval_images, eval_labels):
                 vel *= cfg.momentum
                 vel -= cfg.learning_rate * getattr(owner, "grad_" + name)
                 setattr(owner, name, getattr(owner, name) + vel)
-        acc = accuracy(net, eval_images, eval_labels)
+        acc = int((predict(net, eval_images)[0] == eval_labels).sum()) / len(eval_images)
         history.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
                         "eval_accuracy": acc})
         if acc >= best[1]:
@@ -848,14 +847,13 @@ class TestTrainedNetwork:
         net, kept = trained_pair
         assert save_checkpoint(net, ["x", "y", "z"]) == save_checkpoint(kept, ["x", "y", "z"])
 
-    def test_predict_and_accuracy_match_the_twin(self, trained_pair):
+    def test_predict_matches_the_twin(self, trained_pair):
         net, kept = trained_pair
-        images, labels = small_dataset(seed=5)
-        for image in images[:3]:
-            label, probs = predict(net, image)
-            kept_label, kept_probs = predict(kept, image)
-            assert label == kept_label and probs.tobytes() == kept_probs.tobytes()
-        assert accuracy(net, images, labels) == accuracy(kept, images, labels)
+        images, _ = small_dataset(seed=5)
+        labels, probs = predict(net, images)
+        kept_labels, kept_probs = predict(kept, images)
+        assert labels.tolist() == kept_labels.tolist()
+        assert probs.tobytes() == kept_probs.tobytes()
 
     def test_forward_and_backward_refill_the_gradients(self, trained_pair):
         images, labels = small_dataset(n=4, seed=6)
@@ -912,24 +910,40 @@ class TestTrainedNetwork:
 
 
 class TestPredict:
-    def test_probabilities_sum_to_one(self):
+    def test_rows_are_the_softmax_of_each_32_image_batch(self):
+        # 40 images: a batch of 32, then one of 8
         net = Network(small_config(seed=6))
-        _, probs = predict(net, np.random.default_rng(0).random((1, 16, 16), dtype=np.float32))
-        assert abs(probs.sum() - 1.0) < 1e-9
+        images, _ = small_dataset(n=40, seed=2)
+        labels, probs = predict(net, images)
+        assert labels.shape == (40,) and probs.shape == (40, 3) and probs.dtype == np.float64
+        logits = np.concatenate([net.forward(images[:32]), net.forward(images[32:])])
+        for row, label, got in zip(logits, labels, probs):
+            row = row.astype(np.float64)
+            want = np.exp(row - row.max())
+            want /= want.sum()
+            assert label == row.argmax() and got.tobytes() == want.tobytes()
+        assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_tied_logits_pick_lowest_index_and_uniform_probs(self):
         net = Network(small_config(seed=7))
         final = net.layers[-1]
         final.weight = np.zeros_like(final.weight)
         final.bias = np.zeros_like(final.bias)
-        label, probs = predict(net, np.ones((1, 16, 16), dtype=np.float32))
-        assert label == 0
+        labels, probs = predict(net, np.ones((2, 1, 16, 16), dtype=np.float32))
+        assert labels.tolist() == [0, 0]
         np.testing.assert_allclose(probs, 1.0 / 3.0, atol=1e-9)
 
-    def test_shape_mismatch_rejected(self):
+    def test_empty_batch_gives_empty_arrays(self):
+        labels, probs = predict(Network(small_config()), np.ones((0, 1, 16, 16), np.float32))
+        assert labels.shape == (0,) and probs.shape == (0, 3)
+
+    # a single image without its batch axis is a shape mismatch too
+    @pytest.mark.parametrize("shape, seen", [((1, 1, 8, 8), (1, 8, 8)), ((1, 16, 16), (16, 16))])
+    def test_shape_mismatch_rejected(self, shape, seen):
         net = Network(small_config())
-        with pytest.raises(ValueError, match="shape"):
-            predict(net, np.ones((1, 8, 8), dtype=np.float32))
+        with pytest.raises(ValueError, match=rf"input shape {re.escape(str(seen))} does not "
+                                             r"match network input \(1, 16, 16\)"):
+            predict(net, np.ones(shape, dtype=np.float32))
 
     def test_non_finite_logits_rejected(self):
         # argmax reads NaN logits as class 0
@@ -938,9 +952,7 @@ class TestPredict:
         images, _ = small_dataset(n=3)
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError, match="non-finite logits"):
-                predict(net, images[0])
-            with pytest.raises(ValueError, match="non-finite logits"):
-                predict_labels(net, images)
+                predict(net, images)
 
 
 class TestCheckpoint:
