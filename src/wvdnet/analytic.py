@@ -39,24 +39,18 @@ class ComplexSignal:
 def analytic_signal(signal: Signal, work: dict | None = None) -> ComplexSignal:
     """Analytic version of a real signal via the frequency-domain Hilbert method.
 
-    Doubles positive-frequency bins, zeroes negative ones, and leaves DC (and
-    the Nyquist bin for even lengths) untouched. The real part of the result
-    equals the input to round-off. With work, the spectrum, the gain and the
-    result live in it (see signal_core.work_array).
+    Scales the spectrum in place: bins 1 .. (n-1)//2 (positive frequencies)
+    by 2 and bins n//2 + 1 .. n-1 (negative ones) by 0, leaving DC and, for
+    even n, the Nyquist bin n/2 untouched. The real part of the result
+    equals the input to round-off. With work, the spectrum and the result
+    live in it (see signal_core.work_array).
     """
     n = len(signal)
     if n < 2:
         raise ValueError(f"analytic_signal needs at least 2 samples, got {n}")
     spectrum = work_array(work, "analytic_spectrum", (n,), np.complex128)
     np.fft.fft(signal.samples, out=spectrum)
-    gain = work_array(work, "analytic_gain", (n,))
-    gain[:] = 0.0
-    gain[0] = 1.0
-    if n % 2 == 0:
-        gain[1 : n // 2] = 2.0
-        gain[n // 2] = 1.0
-    else:
-        gain[1 : (n + 1) // 2] = 2.0
-    spectrum *= gain
+    spectrum[1 : (n + 1) // 2] *= 2.0
+    spectrum[n // 2 + 1 :] *= 0.0
     analytic = np.fft.ifft(spectrum, out=work_array(work, "analytic", (n,), np.complex128))
     return ComplexSignal(analytic, signal.sample_rate_hz)

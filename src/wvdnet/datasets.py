@@ -144,16 +144,27 @@ def _label_fold_fault(label, fold, num_classes: int) -> str | None:
     return None
 
 
+def _class_names_fault(names) -> str | None:
+    """What is wrong with a dataset's class names (at least one, each a
+    str, no two alike), or None when they hold."""
+    if not names:
+        return "needs at least one class name"
+    if not all(isinstance(name, str) for name in names):
+        return f"class names {list(names)!r} are not all strings"
+    if len(set(names)) != len(names):
+        return f"class names {list(names)!r} are not unique"
+    return None
+
+
 @dataclass(frozen=True)
 class DatasetManifest:
     records: tuple
     class_names: tuple
 
     def __post_init__(self):
-        if not self.class_names:
-            raise ValueError("manifest needs at least one class name")
-        if len(set(self.class_names)) != len(self.class_names):
-            raise ValueError("class names must be unique")
+        fault = _class_names_fault(self.class_names)
+        if fault:
+            raise ValueError(f"manifest {fault}")
         for rec in self.records:
             fault = _label_fold_fault(rec.label, rec.fold, len(self.class_names))
             if fault:
@@ -381,12 +392,16 @@ _CLIP_FIELDS = {"file": str, "label": int, "fold": (int, type(None))}
 def _read_store_meta(out_dir: Path) -> dict:
     """Parse out_dir's store.json; DataError unless it and each of its clips is
     a JSON object holding every field load_store reads, with a value of its
-    type, and each clip's label and fold pass the manifest's rule."""
+    type, and its class names and each clip's label and fold pass the
+    manifest's rules."""
     store_path = out_dir / "store.json"
     if not store_path.is_file():
         raise DataError(f"no preprocessed store at {out_dir} (missing store.json)")
     meta = json.loads(store_path.read_text())
     _check_fields("the top level", meta, _STORE_FIELDS)
+    fault = _class_names_fault(meta["class_names"])
+    if fault:
+        raise DataError(f"malformed store.json: {fault}")
     for i, clip in enumerate(meta["clips"]):
         _check_fields(f"clip {i}", clip, _CLIP_FIELDS)
         fault = _label_fold_fault(clip["label"], clip["fold"], len(meta["class_names"]))

@@ -754,6 +754,15 @@ def train(
         )
     if train_labels.min() < 0 or train_labels.max() >= config.num_classes:
         raise ValueError("labels out of range for the configured class count")
+    if (eval_images is None) != (eval_labels is None):
+        raise ValueError("eval_images and eval_labels must be given together")
+    if eval_labels is not None:
+        eval_labels = np.asarray(eval_labels)
+        if eval_labels.shape != (len(eval_images),):
+            raise ValueError("eval image/label count mismatch")
+        if len(eval_labels) and (eval_labels.min() < 0
+                                 or eval_labels.max() >= config.num_classes):
+            raise ValueError("eval labels out of range for the configured class count")
 
     net = Network(config, dtype=np.float32)
     shuffle_rng = np.random.default_rng(cfg.seed)

@@ -62,8 +62,6 @@ def clip_to_image(signal: Signal, cfg: RunConfig, work: dict | None = None) -> T
 
     window_len = cfg.lag_window_len or default_lag_window_length(target_len)
     window_len = min(window_len, 2 * cfg.n_freq_bins - 1)
-    if window_len % 2 == 0:
-        window_len -= 1
     stride = cfg.time_stride or auto_time_stride(target_len)
 
     window = hamming_lag_window(window_len)

@@ -150,10 +150,9 @@ def decimate(signal: Signal, target_rate_hz: float, work: dict | None = None) ->
 
     The anti-alias cutoff is 0.45x the target Nyquist. The zero-padded,
     delay-compensated filter is evaluated only at the kept samples 0, k, 2k,
-    ...: output length is ceil(n/k) for any n >= 1. Only the outputs whose
-    filter reaches past either end read a zero-padded copy; the rest read
-    the input in place. Non-integer ratios are rejected;
-    snap_decimation_rate picks an integer-ratio target.
+    ...: output length is ceil(n/k) for any n >= 1. With work, the
+    zero-padded copy and the output live in it (see work_array). Non-integer
+    ratios are rejected; snap_decimation_rate picks an integer-ratio target.
     """
     if target_rate_hz <= 0:
         raise ValueError(f"target_rate_hz must be positive, got {target_rate_hz}")
@@ -175,21 +174,12 @@ def decimate(signal: Signal, target_rate_hz: float, work: dict | None = None) ->
         return Signal(signal.samples.copy(), signal.sample_rate_hz)
     taps = design_lowpass(0.45 * target_rate_hz / 2.0, signal.sample_rate_hz, 63)[::-1]
     half = len(taps) // 2
-    samples, n = signal.samples, len(signal)
-    count = -(-n // k)
-    kept = work_array(work, "decimate_kept", (count,))
-    # Output j filters samples j*k - half .. j*k + half; those from first
-    # to stop - 1 lie inside the input.
-    first = min(-(-half // k), count)
-    stop = min(max((n - 1 - half) // k + 1, first), count)
-    for start, end in ((0, first), (first, stop), (stop, count)):
-        if start == end:
-            continue
-        lo, hi = start * k - half, (end - 1) * k + half + 1
-        reach = samples[max(lo, 0) : hi]
-        if lo < 0 or hi > n:
-            reach = np.pad(reach, (max(-lo, 0), max(hi - n, 0)))
-        np.matmul(sliding_window_view(reach, len(taps))[::k], taps, out=kept[start:end])
+    n = len(signal)
+    # The n windows of the padded copy are the input's samples i - half ..
+    # i + half; output j is window j*k.
+    padded = zero_padded(work, "decimate_padded", signal.samples, n + 2 * half, half)
+    kept = work_array(work, "decimate_kept", (-(-n // k),))
+    np.matmul(sliding_window_view(padded, len(taps))[::k], taps, out=kept)
     return Signal(kept, target_rate_hz)
 
 

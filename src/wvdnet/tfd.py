@@ -79,7 +79,6 @@ class LagWindow:
     """Symmetric taper over the lag axis, peak 1 at the center."""
 
     coefficients: np.ndarray
-    name: str
 
     def __post_init__(self):
         object.__setattr__(
@@ -104,17 +103,15 @@ class LagWindow:
 def hamming_lag_window(length: int) -> LagWindow:
     if length < 1 or length % 2 == 0:
         raise ValueError(f"lag window length must be a positive odd integer, got {length}")
-    if length == 1:
-        return LagWindow(np.ones(1), "hamming-1")
     coeffs = np.hamming(length)
     coeffs /= coeffs[length // 2]  # np.hamming peaks at 1 for odd lengths; keep exact
-    return LagWindow(coeffs, f"hamming-{length}")
+    return LagWindow(coeffs)
 
 
 def rectangular_lag_window(length: int) -> LagWindow:
     if length < 1 or length % 2 == 0:
         raise ValueError(f"lag window length must be a positive odd integer, got {length}")
-    return LagWindow(np.ones(length), f"rect-{length}")
+    return LagWindow(np.ones(length))
 
 
 def default_lag_window_length(num_samples: int) -> int:
@@ -130,7 +127,6 @@ def pseudo_wvd(
     window: LagWindow,
     time_stride: int,
     n_freq_bins: int,
-    kind: str = "pseudo_wvd",
     out_rows: int | None = None,
     work: dict | None = None,
 ) -> TFDImage:
@@ -223,7 +219,7 @@ def pseudo_wvd(
             _lerp(read, lo[part], frac[part, None], values[part], upper[: len(lo[part])])
         times = _lerp(partial(np.take, times), lo, frac)
     freq_axis = np.arange(n_freq_bins) * rate / (2.0 * n_freq_bins)
-    return TFDImage(values, times, freq_axis, rate, kind)
+    return TFDImage(values, times, freq_axis, rate, "pseudo_wvd")
 
 
 def wvd(x: ComplexSignal, time_stride: int = 1, n_freq_bins: int | None = None) -> TFDImage:
@@ -237,7 +233,8 @@ def wvd(x: ComplexSignal, time_stride: int = 1, n_freq_bins: int | None = None) 
     if n_freq_bins is None:
         n_freq_bins = len(x)
     length = min(2 * len(x) - 1, 2 * n_freq_bins - 1)
-    return pseudo_wvd(x, rectangular_lag_window(length), time_stride, n_freq_bins, kind="wvd")
+    return replace(pseudo_wvd(x, rectangular_lag_window(length), time_stride, n_freq_bins),
+                   kind="wvd")
 
 
 def wvd_time_marginal(image: TFDImage, x: ComplexSignal) -> np.ndarray:

@@ -3,9 +3,10 @@ evaluation of the quadratic time-frequency sum used as the independent oracle,
 the earlier full-lag form of pseudo_wvd kept as a reference, the all-rows
 hfft form of pseudo_wvd and the two-pass bilinear resize kept as a bitwise
 oracle for the row-selecting chain, the per-class report loop kept as the
-reference for the array report, a tracemalloc probe, and a fresh-interpreter
-runner with a peak-RSS probe and a minor-fault counter
-built on it."""
+reference for the array report, the three-range decimate and the gain-array
+analytic signal kept as bitwise references for their one-path forms, a
+tracemalloc probe, and a fresh-interpreter runner with a peak-RSS probe and
+a minor-fault counter built on it."""
 
 import os
 import subprocess
@@ -18,7 +19,9 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from wvdnet.analytic import ComplexSignal
 from wvdnet.evaluation import EvalReport
+from wvdnet.signal_core import Signal, design_lowpass
 from wvdnet.tfd import TFDImage
 
 
@@ -132,6 +135,49 @@ def hfft_pseudo_wvd(x, window, time_stride, n_freq_bins):
     rate = x.sample_rate_hz
     freq_axis = np.arange(n_freq_bins) * rate / (2.0 * n_freq_bins)
     return TFDImage(values, rows / rate, freq_axis, rate, "pseudo_wvd")
+
+
+def three_range_decimate(signal, target_rate_hz):
+    """decimate with its outputs split into three ranges: only the outputs
+    whose 63-tap filter reaches past either end of the input read a
+    zero-padded copy of the samples they need; the rest read the input in
+    place. Takes an integer-ratio target below the source rate."""
+    k = round(signal.sample_rate_hz / target_rate_hz)
+    taps = design_lowpass(0.45 * target_rate_hz / 2.0, signal.sample_rate_hz, 63)[::-1]
+    half = len(taps) // 2
+    samples, n = signal.samples, len(signal)
+    count = -(-n // k)
+    kept = np.empty(count)
+    # Output j filters samples j*k - half .. j*k + half; those from first
+    # to stop - 1 lie inside the input.
+    first = min(-(-half // k), count)
+    stop = min(max((n - 1 - half) // k + 1, first), count)
+    for start, end in ((0, first), (first, stop), (stop, count)):
+        if start == end:
+            continue
+        lo, hi = start * k - half, (end - 1) * k + half + 1
+        reach = samples[max(lo, 0) : hi]
+        if lo < 0 or hi > n:
+            reach = np.pad(reach, (max(-lo, 0), max(hi - n, 0)))
+        np.matmul(sliding_window_view(reach, len(taps))[::k], taps, out=kept[start:end])
+    return Signal(kept, target_rate_hz)
+
+
+def gain_array_analytic_signal(signal):
+    """analytic_signal with the spectrum multiplied by a gain array: 1 at DC
+    (and at the Nyquist bin of an even length), 2 over the positive
+    frequencies and 0 over the negative ones."""
+    n = len(signal)
+    spectrum = np.fft.fft(signal.samples)
+    gain = np.zeros(n)
+    gain[0] = 1.0
+    if n % 2 == 0:
+        gain[1 : n // 2] = 2.0
+        gain[n // 2] = 1.0
+    else:
+        gain[1 : (n + 1) // 2] = 2.0
+    spectrum *= gain
+    return ComplexSignal(np.fft.ifft(spectrum), signal.sample_rate_hz)
 
 
 def two_pass_resize_bilinear(image, out_rows, out_cols, work=None):

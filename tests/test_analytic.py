@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import gain_array_analytic_signal
 
 from wvdnet.analytic import ComplexSignal, analytic_signal
 from wvdnet.signal_core import Signal
@@ -41,6 +42,28 @@ class TestAnalyticSignal:
         out = analytic_signal(Signal(x, 4000.0))
         ratio = np.sum(np.abs(out.samples) ** 2) / np.sum(x**2)
         assert abs(ratio - 2.0) < 0.02
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17, 1000, 1001, 17640, 17641])
+    def test_bitwise_equal_to_gain_array_form(self, n):
+        # random inputs, and ones where scaling by 0 rather than assigning 0
+        # shows: -0.0, negative constants, an impulse and denormals
+        rng = np.random.default_rng(n)
+        inputs = [
+            rng.standard_normal(n),
+            rng.standard_normal(n) * 1e-300,
+            np.zeros(n),
+            np.full(n, -0.0),
+            np.full(n, -3.0),
+            np.eye(1, n, n // 2)[0],
+            np.full(n, 5e-324),
+            np.full(n, -5e-324),
+        ]
+        work = {}
+        for samples in inputs:
+            signal = Signal(samples, 4000.0)
+            expected = gain_array_analytic_signal(signal).samples.tobytes()
+            assert analytic_signal(signal).samples.tobytes() == expected
+            assert analytic_signal(signal, work=work).samples.tobytes() == expected
 
     def test_complex_input_rejected(self):
         # a Signal is real, so the analytic signal never sees complex samples

@@ -158,6 +158,17 @@ class TestTrainCommand:
         assert main([command, "--out", str(tmp_path)] + BASE_FLAGS) == 2
         assert f"clip 1 ({meta['clips'][1]['file']}): {field} {value!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("names", [[0, 1, 2], ["0_tone", "0_tone", "2_noise"]],
+                             ids=["ints", "repeated"])
+    def test_bad_class_names_in_store_exits_2(self, workspace, tmp_path, capsys, command,
+                                              names):
+        meta = json.loads((workspace["store"] / "store.json").read_text())
+        meta["class_names"] = names
+        (tmp_path / "store.json").write_text(json.dumps(meta))
+        assert main([command, "--out", str(tmp_path)] + BASE_FLAGS) == 2
+        assert f"malformed store.json: class names {names!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("breakage", ["no image_rows", "clip without label", "list"])
     def test_malformed_store_json_exits_2(self, workspace, tmp_path, capsys, breakage):
         meta = json.loads((workspace["store"] / "store.json").read_text())

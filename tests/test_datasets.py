@@ -181,6 +181,12 @@ BAD_LABELS_AND_FOLDS = [
     ("fold", True, "fold True is neither null nor >= 1"),
 ]
 
+BAD_CLASS_NAMES = [
+    pytest.param([], "needs at least one class name", id="empty"),
+    pytest.param([1, 2], "class names [1, 2] are not all strings", id="ints"),
+    pytest.param(["a", "a"], "class names ['a', 'a'] are not unique", id="repeated"),
+]
+
 
 class TestManifestRecords:
     @pytest.mark.parametrize("field, value, fault", BAD_LABELS_AND_FOLDS)
@@ -191,6 +197,11 @@ class TestManifestRecords:
 
     def test_null_fold_accepted(self):
         assert len(DatasetManifest((ClipRecord("x.wav", 1, None),), ("a", "b"))) == 1
+
+    @pytest.mark.parametrize("names, fault", BAD_CLASS_NAMES)
+    def test_bad_class_names_rejected(self, names, fault):
+        with pytest.raises(ValueError, match=re.escape(f"manifest {fault}")):
+            DatasetManifest((), tuple(names))
 
 
 class TestFolderManifest:
@@ -620,6 +631,15 @@ class TestLoadStore:
         (tmp_path / "store.json").write_text(json.dumps(meta))
         with pytest.raises(DataError, match=re.escape(
                 f"malformed store.json: clip 1 (arrays/00001_clip.f32): {fault}")):
+            load_store(tmp_path)
+
+    @pytest.mark.parametrize("names, fault", BAD_CLASS_NAMES[1:])
+    def test_bad_class_names_are_a_data_error(self, tmp_path, names, fault):
+        write_store(tmp_path, np.zeros((3, 1, 4, 4), dtype=np.float32))
+        meta = json.loads((tmp_path / "store.json").read_text())
+        meta["class_names"] = names
+        (tmp_path / "store.json").write_text(json.dumps(meta))
+        with pytest.raises(DataError, match=re.escape(f"malformed store.json: {fault}")):
             load_store(tmp_path)
 
     def test_peak_rss_stays_below_one_and_a_half_times_the_data(self, tmp_path):

@@ -771,6 +771,24 @@ class TestTraining:
         with pytest.raises(ValueError, match="range"):
             train(small_config(classes=3), images, np.array([0, 1, 2, 3]), TrainConfig(epochs=1))
 
+    # without the checks, four eval images and no labels scored 0.0 each
+    # epoch, one label broadcast (0.25), and label 7 scored 0.0
+    @pytest.mark.parametrize("eval_images, eval_labels, match", [
+        (4, None, "together"),
+        (None, [0, 1, 2, 0], "together"),
+        (4, [1], "count mismatch"),
+        (4, 1, "count mismatch"),
+        (4, [0, 1, 7, 2], "range"),
+        (4, [0, -1, 2, 1], "range"),
+    ], ids=["no-labels", "no-images", "one-label", "scalar-label", "label-7", "label-minus-1"])
+    def test_eval_set_checked(self, eval_images, eval_labels, match):
+        images, labels = small_dataset(n=8, classes=3)
+        if eval_images is not None:
+            eval_images = images[:eval_images]
+        with pytest.raises(ValueError, match=match):
+            train(small_config(classes=3), images, labels, TrainConfig(epochs=1),
+                  eval_images, eval_labels)
+
     def test_wrong_image_shape_rejected(self):
         with pytest.raises(ValueError):
             train(small_config(), np.zeros((2, 1, 8, 8)), np.zeros(2, dtype=int),

@@ -4,7 +4,7 @@ from conftest import (hfft_pseudo_wvd, minor_faults, reference_pseudo_wvd, trace
                       two_pass_resize_bilinear)
 
 from wvdnet import pipeline
-from wvdnet.config import build_config
+from wvdnet.config import RunConfig, build_config
 from wvdnet.pipeline import auto_time_stride, clip_to_image, working_rate_hz
 from wvdnet.signal_core import Signal, design_lowpass
 
@@ -124,6 +124,14 @@ class TestClipToImage:
         cfg = cfg_with(lag_window_len=1001)
         image = clip_to_image(tone(500.0, 4000.0, 0.5), cfg)
         assert image.values.shape == (24, 24)
+
+    def test_even_lag_window_rejected_not_shortened(self):
+        # validate_config admits only 0 or an odd length; an unvalidated
+        # even one reaches hamming_lag_window as it is
+        cfg = RunConfig(clip_seconds=0.5, image_rows=24, image_cols=24, n_freq_bins=64,
+                        lag_window_len=100)
+        with pytest.raises(ValueError, match="odd"):
+            clip_to_image(tone(500.0, 4000.0, 0.5), cfg)
 
     @pytest.mark.parametrize("rate", [44100.0, 22050.0, 8000.0, 4000.0])
     def test_matches_full_rate_reference_chain(self, rate, monkeypatch):

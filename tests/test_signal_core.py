@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import three_range_decimate
 
 from wvdnet.signal_core import (
     Signal,
@@ -153,6 +154,23 @@ class TestDecimate:
         expected = direct_decimate(samples, taps, 10)
         assert len(out) == len(expected) == -(-n // 10)
         np.testing.assert_allclose(out.samples, expected, rtol=0, atol=1e-12)
+
+    # every source rate that tests/test_pipeline.py's TestWorkingRate
+    # decimates to a 4 kHz target: factors 10, 2, 2, 5, 12 and 24
+    @pytest.mark.parametrize("source", [44100.0, 8000.0, 11025.0, 22050.0, 48000.0, 96000.0])
+    def test_bitwise_equal_to_three_range_form(self, source):
+        # every length below 200 (n < k, n < 63, first and last ranges
+        # overlapping) and a spread up to 3,000; one work dict for all, from
+        # the longest down, so each call reuses a larger padded copy
+        target = snap_decimation_rate(source, 4000.0)
+        rng = np.random.default_rng(int(source))
+        lengths = [*range(1, 200), *range(200, 3001, 41), 3000]
+        work = {}
+        for n in sorted(lengths, reverse=True):
+            signal = Signal(rng.standard_normal(n), source)
+            expected = three_range_decimate(signal, target).samples.tobytes()
+            assert decimate(signal, target).samples.tobytes() == expected, n
+            assert decimate(signal, target, work=work).samples.tobytes() == expected, n
 
     def test_non_integer_ratio_rejected(self):
         with pytest.raises(ValueError, match="pre-resample"):

@@ -42,7 +42,7 @@ class TestLagWindows:
 
     def test_non_unit_center_rejected(self):
         with pytest.raises(ValueError, match="center"):
-            LagWindow(np.array([0.5, 0.9, 0.5]), "bad")
+            LagWindow(np.array([0.5, 0.9, 0.5]))
 
     def test_default_length(self):
         assert default_lag_window_length(16000) == 127
@@ -190,7 +190,7 @@ class TestPseudoWvd:
     def test_even_window_rejected(self):
         x = ComplexSignal(np.ones(16, dtype=complex), 100.0)
         with pytest.raises(ValueError, match="odd"):
-            pseudo_wvd(x, LagWindow(np.ones(4), "bad"), 1, 16)
+            pseudo_wvd(x, LagWindow(np.ones(4)), 1, 16)
 
     def test_empty_signal_rejected(self):
         with pytest.raises(ValueError, match="empty"):
