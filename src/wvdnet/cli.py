@@ -162,9 +162,7 @@ def cmd_stream(cfg: RunConfig, args: argparse.Namespace) -> int:
     net, class_names = load_checkpoint(_checkpoint_path(cfg, args).read_bytes())
     if not class_names:
         class_names = [str(i) for i in range(net.config.num_classes)]
-    predictions = stream_infer(net, signal, cfg)
-    if cfg.vote_windows > 1:
-        predictions = majority_vote(predictions, cfg.vote_windows)
+    predictions = majority_vote(stream_infer(net, signal, cfg), cfg.vote_windows)
     csv_text = stream_to_csv(predictions, class_names)
     out_path = Path(args.output) if args.output else Path(cfg.out_dir) / "stream.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -160,10 +160,9 @@ def stream_infer(net: Network, signal: Signal, cfg: RunConfig) -> list[StreamPre
 
 
 def majority_vote(predictions, k: int):
-    """Optional smoother: relabel each window by the majority over a centered
-    k-window neighborhood (k odd); probabilities are left untouched."""
-    if k == 1:
-        return list(predictions)
+    """Relabel each window by the majority over a centered k-window
+    neighborhood (k odd; with k = 1 each window keeps its own label);
+    probabilities are left untouched."""
     if k % 2 == 0:
         raise ValueError("vote window must be odd")
     half = k // 2

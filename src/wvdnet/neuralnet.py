@@ -12,7 +12,8 @@ hidden layer with relu and dropout, and the class logits. On a 1x300x300
 input the flatten width is 87,616.
 
 Every layer reads the same way: `params` names the arrays whose gradients
-backward leaves in `grad_<param>` (none for the layers without weights),
+backward leaves in `grad_<param>` (none for the layers without weights;
+Linear's grad_weight is formed when read, see below),
 `_cache` holds what backward needs from the last forward, and `out_shape`
 maps a per-sample input shape to the output shape, raising ValueError on an
 input the layer cannot take. forward runs that same check, and infer_shapes
@@ -55,14 +56,15 @@ what adding the taps into zeros gives, -0.0 turned +0.0 included.
 
 train() updates each parameter in place: the gradient is scaled by the
 learning rate, the velocity by the momentum, the velocity takes the
-gradient and the weight the velocity. A Linear weight's gradient is never
-formed whole: Network.backward leaves it to train(), which forms it
-_UPDATE_ROWS rows at a time through Linear.weight_grad, the function that
-forms the whole gradient for everyone else, and updates those rows before
-the next block. Each block is the matching rows of the whole product (every
-entry is the same dot product over the batch, which BLAS does not split by
-rows; the tests check the bits), and the elementwise update is the same, so
-the weights match a whole-gradient update bit for bit while no fc1-sized
+gradient and the weight the velocity. Backward never forms a Linear
+weight's gradient: Linear.backward keeps its input and output gradient in
+_cache, and Linear.weight_grad forms any rows of the gradient from them.
+Reading grad_weight forms the whole of it that way; train() instead forms
+it _UPDATE_ROWS rows at a time and updates those rows before the next
+block. Each block is the matching rows of the whole product (every entry is
+the same dot product over the batch, which BLAS does not split by rows; the
+tests check the bits), and the elementwise update is the same, so the
+weights match a whole-gradient update bit for bit while no fc1-sized
 gradient (175 MB at 300x300) is allocated.
 
 Within the blocks, a ReLU that directly precedes a MaxPool2d runs after that
@@ -182,6 +184,7 @@ class Layer:
 
     params = ()
     _cache = None
+    grad_weight = grad_bias = None  # until a backward sets the layer's own
 
     def out_shape(self, shape):
         """The per-sample output shape for a per-sample input shape; raises
@@ -358,9 +361,9 @@ class Dropout(Layer):
         self.p = p
         self.rng = rng if rng is not None else np.random.default_rng(0)
 
-    def forward(self, x, train=False, mask_override=None):
-        mask = mask_override
-        if mask is None and train and self.p > 0:
+    def forward(self, x, train=False):
+        mask = None
+        if train and self.p > 0:
             mask = (self.rng.random(x.shape) >= self.p).astype(x.dtype)
         self._cache = mask
         return x if mask is None else x * mask / (1.0 - self.p)
@@ -401,13 +404,11 @@ class Linear(Layer):
         self._cache = (x, None)  # backward adds its output gradient
         return x @ self.weight.T + self.bias
 
-    def backward(self, grad_out, input_grad=True, weight_grad=True):
-        """Bias gradient, the input gradient unless input_grad is false, and
-        grad_weight unless weight_grad is false, when the caller forms it
-        through the weight_grad method instead."""
+    def backward(self, grad_out, input_grad=True):
+        """Bias gradient and the input gradient unless input_grad is false.
+        The weight gradient is left unformed: _cache keeps (x, grad_out), and
+        weight_grad forms it from them."""
         self._cache = (self._cache[0], grad_out)
-        if weight_grad:
-            self.grad_weight = self.weight_grad()
         self.grad_bias = grad_out.sum(axis=0)
         return grad_out @ self.weight if input_grad else None
 
@@ -416,6 +417,14 @@ class Linear(Layer):
         when given: the whole of it, or one block of a blocked update."""
         x, grad_out = self._cache
         return np.matmul(grad_out[:, rows].T, x, out=out)
+
+    @property
+    def grad_weight(self):
+        """The whole weight gradient of the last backward, formed on every
+        read; None when no backward has followed the last forward."""
+        if self._cache is None or self._cache[1] is None:
+            return None
+        return self.weight_grad()
 
 
 def softmax_cross_entropy(logits, labels):
@@ -551,14 +560,13 @@ def infer_shapes(config: NetworkConfig):
     return _build(config)[1]
 
 
-def _backward(layer, grad_out, first, **kwargs):
-    """One layer's backward, passing kwargs on. The network's first layer
-    computes no input gradient, and a first layer without parameters is
-    skipped."""
+def _backward(layer, grad_out, first):
+    """One layer's backward. The network's first layer computes no input
+    gradient, and a first layer without parameters is skipped."""
     if not first:
-        return layer.backward(grad_out, **kwargs)
+        return layer.backward(grad_out)
     if layer.params:
-        layer.backward(grad_out, input_grad=False, **kwargs)
+        layer.backward(grad_out, input_grad=False)
     return None
 
 
@@ -618,19 +626,17 @@ class Network:
                 layer._cache = None
         return x
 
-    def backward(self, grad_logits, linear_weight_grads=True):
-        """Fill every layer's parameter gradients. The network's input
-        gradient is never read, so the first layer does not compute it. With
-        linear_weight_grads false, Linear layers leave grad_weight unformed,
-        for a caller that forms it through Linear.weight_grad."""
+    def backward(self, grad_logits):
+        """Fill every layer's parameter gradients, a Linear weight's as
+        Linear.backward leaves it, formed when read. The network's input
+        gradient is never read, so the first layer does not compute it."""
         if self._caches is None:
             raise ValueError("Network.backward needs a train=True forward first")
         head = self.layers[len(self._blocks) :]
         first = (self._blocks or head)[0]
         g = grad_logits
         for layer in reversed(head):
-            kwargs = {"weight_grad": linear_weight_grads} if isinstance(layer, Linear) else {}
-            g = _backward(layer, g, layer is first, **kwargs)
+            g = _backward(layer, g, layer is first)
         sums = {}  # block layer -> its parameter gradients summed over samples so far
         for n in range(len(g) if self._blocks else 0):
             h = g[n : n + 1]
@@ -653,9 +659,10 @@ class Network:
         self._caches = None
         for layer in self.layers:
             # gradients first: under glibc malloc the other order leaves the
-            # freed state resident and raised train-300's peak RSS by 100 MB
+            # freed state resident and raised train-300's peak RSS by 100 MB.
+            # Dropping a layer's own gradient leaves the class's None.
             for name in layer.params:
-                setattr(layer, "grad_" + name, None)
+                vars(layer).pop("grad_" + name, None)
             layer._cache = None
 
     def param_arrays(self):
@@ -664,15 +671,6 @@ class Network:
 
     def snapshot(self):
         return [getattr(owner, name).copy() for owner, name in self.param_arrays()]
-
-    def load_snapshot(self, arrays):
-        params = self.param_arrays()
-        if len(arrays) != len(params):
-            raise ValueError("snapshot parameter count mismatch")
-        for (owner, name), arr in zip(params, arrays):
-            if getattr(owner, name).shape != arr.shape:
-                raise ValueError("snapshot parameter shape mismatch")
-            setattr(owner, name, arr.copy())
 
 
 def predict(net: Network, images):
@@ -747,11 +745,12 @@ def train(
         raise ValueError("training set is empty")
     if len(train_images) != len(train_labels):
         raise ValueError("image/label count mismatch")
-    if train_images.shape[1:] != tuple(config.input_shape):
-        raise ValueError(
-            f"dataset images are {train_images.shape[1:]}, network expects "
-            f"{tuple(config.input_shape)}"
-        )
+    for what, images in (("training", train_images), ("eval", eval_images)):
+        if images is not None and np.shape(images)[1:] != tuple(config.input_shape):
+            raise ValueError(
+                f"{what} images are {np.shape(images)[1:]}, network expects "
+                f"{tuple(config.input_shape)}"
+            )
     if train_labels.min() < 0 or train_labels.max() >= config.num_classes:
         raise ValueError("labels out of range for the configured class count")
     if (eval_images is None) != (eval_labels is None):
@@ -782,7 +781,7 @@ def train(
                     f"training diverged: batch loss {loss} at epoch {epoch}, step "
                     f"{start // cfg.batch_size + 1}, learning rate {cfg.learning_rate}"
                 )
-            net.backward(grad, linear_weight_grads=False)
+            net.backward(grad)
             losses.append(loss)
             for vel, (owner, name) in zip(velocity, net.param_arrays()):
                 param = getattr(owner, name)
@@ -811,7 +810,8 @@ def train(
         history.append(row)
 
     if best is not None:
-        net.load_snapshot(best)
+        for (owner, name), arr in zip(net.param_arrays(), best):
+            setattr(owner, name, arr)
     return net, history
 
 

@@ -5,7 +5,7 @@ hfft form of pseudo_wvd and the two-pass bilinear resize kept as a bitwise
 oracle for the row-selecting chain, the per-class report loop kept as the
 reference for the array report, the three-range decimate and the gain-array
 analytic signal kept as bitwise references for their one-path forms, a
-tracemalloc probe, and a fresh-interpreter runner with a peak-RSS probe and
+fixed-draws stand-in for a dropout rng, a tracemalloc probe, and a fresh-interpreter runner with a peak-RSS probe and
 a minor-fault counter built on it."""
 
 import os
@@ -235,6 +235,18 @@ def reference_report(true_labels, pred_labels, class_names):
     weighted = {key: float(np.sum(weights * [p[key] for p in per_class])) for key in keys}
     return EvalReport(confusion, tuple(per_class), accuracy, {**macro, "support": total},
                       {**weighted, "support": total}, tuple(class_names), tuple(flagged))
+
+
+class FixedDraws:
+    """A stand-in for a Dropout's rng whose random(shape) returns the same
+    draws on every call, so a layer run with train=True keeps one mask."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def random(self, shape):
+        assert shape == self.draws.shape
+        return self.draws
 
 
 def traced_memory(call):

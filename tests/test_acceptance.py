@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import assert_grads_close, direct_quadratic_tfd, numeric_gradient
+from conftest import FixedDraws, assert_grads_close, direct_quadratic_tfd, numeric_gradient
 
 from wvdnet.analytic import analytic_signal
 from wvdnet.cli import main
@@ -163,8 +163,8 @@ def test_criterion_7_gradient_checks():
     relu_in[np.abs(relu_in) < 1e-3] = 0.5  # keep clear of the kink
     check(ReLU(), relu_in)
     check(Flatten(), rng.standard_normal((2, 3, 4, 4)))
-    mask = (np.random.default_rng(4).random((3, 8)) >= 0.25).astype(np.float64)
-    check(Dropout(0.25), rng.standard_normal((3, 8)), mask_override=mask)
+    draws = FixedDraws(np.random.default_rng(4).random((3, 8)))  # mask: draws >= p
+    check(Dropout(0.25, rng=draws), rng.standard_normal((3, 8)), train=True)
 
     logits = rng.standard_normal(9)
     _, grad = softmax_cross_entropy(logits, 4)

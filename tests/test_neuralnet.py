@@ -6,8 +6,8 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import (assert_grads_close, minor_faults, numeric_gradient, peak_rss_growth,
-                      traced_memory)
+from conftest import (FixedDraws, assert_grads_close, minor_faults, numeric_gradient,
+                      peak_rss_growth, traced_memory)
 from numpy.lib.stride_tricks import as_strided
 
 from wvdnet import neuralnet
@@ -346,11 +346,11 @@ class TestSimpleLayers:
     def test_dropout_gradient_with_frozen_mask(self):
         drop = Dropout(0.5)
         x = RNG.standard_normal((3, 6))
-        mask = (np.random.default_rng(8).random((3, 6)) >= 0.5).astype(np.float64)
+        drop.rng = FixedDraws(np.random.default_rng(8).random((3, 6)))  # mask: draws >= p
         projection = RNG.standard_normal((3, 6))
-        drop.forward(x, mask_override=mask)
+        drop.forward(x, train=True)
         grad_in = drop.backward(projection)
-        loss = lambda: projected_loss(drop, x, projection, mask_override=mask)
+        loss = lambda: projected_loss(drop, x, projection, train=True)
         assert_grads_close(grad_in, numeric_gradient(loss, x))
 
     def test_invalid_dropout_probability_rejected(self):
@@ -598,6 +598,25 @@ class TestNetworkPasses:
         batch_conv_output = 16 * 16 * 128 * 128 * 4
         assert peak < batch_conv_output / 2
 
+    def test_backward_forms_no_linear_weight_gradient(self):
+        # a backward that formed the whole gradient allocated one weight-sized array
+        config = NetworkConfig(
+            layers=({"type": "flatten"},
+                    {"type": "linear", "in_features": 4096, "out_features": 500},
+                    {"type": "relu"}, {"type": "linear", "in_features": 500, "out_features": 3}),
+            input_shape=(1, 64, 64), num_classes=3, seed=17)
+        net = Network(config)
+        rng = np.random.default_rng(17)
+        net.forward(rng.random((4, 1, 64, 64), dtype=np.float32), train=True)
+        grad = rng.standard_normal((4, 3)).astype(np.float32)
+        _, peak = traced_memory(lambda: net.backward(grad))
+        fc1 = net.layers[1]
+        weight_bytes = fc1.weight.nbytes
+        assert peak < weight_bytes, f"{peak / 1e6:.1f} MB peak"
+        step = neuralnet._UPDATE_ROWS
+        blocks = [fc1.weight_grad(slice(start, start + step)) for start in range(0, 500, step)]
+        assert fc1.grad_weight.tobytes() == np.concatenate(blocks).tobytes()
+
     def test_scoring_forward_keeps_no_backward_state(self):
         # batch 32 at 1x300x300: a scoring forward that kept each sample's
         # padded conv inputs, tap indices and relu masks, and fc1's input,
@@ -651,7 +670,8 @@ def reference_train(config, images, labels, cfg, eval_images, eval_labels):
                         "eval_accuracy": acc})
         if acc >= best[1]:
             best = (net.snapshot(), acc)
-    net.load_snapshot(best[0])
+    for (owner, name), arr in zip(net.param_arrays(), best[0]):
+        setattr(owner, name, arr)
     return net, history
 
 
@@ -788,6 +808,20 @@ class TestTraining:
         with pytest.raises(ValueError, match=match):
             train(small_config(classes=3), images, labels, TrainConfig(epochs=1),
                   eval_images, eval_labels)
+
+    def test_mis_shaped_eval_set_raises_before_any_step(self, monkeypatch):
+        # checked only by epoch 1's eval, the eval set's shape cost a whole epoch first
+        steps = []
+        backward = Network.backward
+        monkeypatch.setattr(Network, "backward",
+                            lambda *args, **kwargs: steps.append(1) or backward(*args, **kwargs))
+        images, labels = small_dataset(n=8)
+        eval_images = np.zeros((4, 1, 8, 8), dtype=np.float32)
+        with pytest.raises(ValueError, match=r"eval images are \(1, 8, 8\), network expects "
+                                             r"\(1, 16, 16\)"):
+            train(small_config(), images, labels, TrainConfig(epochs=1, batch_size=4),
+                  eval_images, labels[:4])
+        assert steps == []
 
     def test_wrong_image_shape_rejected(self):
         with pytest.raises(ValueError):
