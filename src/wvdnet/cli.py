@@ -35,7 +35,7 @@ from .evaluation import (
     stream_infer,
     stream_to_csv,
 )
-from .ioutil import atomic_write_bytes, atomic_write_text
+from .ioutil import atomic_write_bytes, atomic_write_text, atomic_writer
 from .neuralnet import TrainConfig, load_checkpoint, reference_config, save_checkpoint, train
 from .pipeline import clip_to_image
 from .synth import generate_dataset
@@ -124,7 +124,8 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     )
     ckpt_path = _checkpoint_path(cfg, args)
     ckpt_path.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_bytes(ckpt_path, save_checkpoint(net, store.class_names))
+    with atomic_writer(ckpt_path) as handle:
+        save_checkpoint(net, handle, store.class_names)
     lines = ["epoch,train_loss,eval_accuracy"]
     for row in history:
         acc = "" if row["eval_accuracy"] is None else repr(row["eval_accuracy"])
@@ -141,7 +142,11 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     store = load_store(cfg.out_dir)
-    net, _ = load_checkpoint(_checkpoint_path(cfg, args).read_bytes())
+    with open(_checkpoint_path(cfg, args), "rb") as handle:
+        net, class_names = load_checkpoint(handle)
+    if class_names and class_names != list(store.class_names):
+        raise DataError(f"checkpoint classes {class_names} do not match the store's "
+                        f"{list(store.class_names)}")
     train_idx, test_idx = split_indices(store.labels, store.folds, cfg)
     subset = {"test": test_idx, "train": train_idx, "all": np.arange(len(store))}[args.split]
     if len(subset) == 0:
@@ -159,7 +164,8 @@ def cmd_stream(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not wav_path.is_file():
         raise DataError(f"input file not found: {wav_path}")
     signal = average_channels(decode_wav(wav_path.read_bytes()))
-    net, class_names = load_checkpoint(_checkpoint_path(cfg, args).read_bytes())
+    with open(_checkpoint_path(cfg, args), "rb") as handle:
+        net, class_names = load_checkpoint(handle)
     if not class_names:
         class_names = [str(i) for i in range(net.config.num_classes)]
     predictions = majority_vote(stream_infer(net, signal, cfg), cfg.vote_windows)

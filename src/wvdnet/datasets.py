@@ -332,12 +332,16 @@ def preprocess_dataset(
     """Materialize the per-clip arrays, index, metadata, and skip report.
 
     Undecodable clips are recorded in `skipped.txt` rather than aborting the
-    run. The index is written last, temp-and-rename, so an interrupted run
-    never leaves a readable-but-partial store.
+    run. The metadata and index are removed before the first array is
+    written and written last, temp-and-rename, so an interrupted run never
+    leaves a readable store: neither a partial one nor an old one whose
+    arrays it overwrote.
     """
     out_dir = Path(out_dir)
     arrays_dir = out_dir / "arrays"
     arrays_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("store.json", "index.csv"):
+        (out_dir / name).unlink(missing_ok=True)
     jobs = [(rec.path, str(arrays_dir / _array_filename(i, rec.path)))
             for i, rec in enumerate(manifest.records)]
     workers = min(workers, len(jobs))
@@ -397,7 +401,10 @@ def _read_store_meta(out_dir: Path) -> dict:
     store_path = out_dir / "store.json"
     if not store_path.is_file():
         raise DataError(f"no preprocessed store at {out_dir} (missing store.json)")
-    meta = json.loads(store_path.read_text())
+    try:
+        meta = json.loads(store_path.read_text())
+    except ValueError as exc:  # undecodable text or not JSON
+        raise DataError(f"malformed store.json at {out_dir}: not JSON: {exc}") from None
     _check_fields("the top level", meta, _STORE_FIELDS)
     fault = _class_names_fault(meta["class_names"])
     if fault:

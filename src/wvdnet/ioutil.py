@@ -11,22 +11,32 @@ from __future__ import annotations
 
 import os
 import secrets
+from contextlib import contextmanager
 from pathlib import Path
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+@contextmanager
+def atomic_writer(path: str | Path):
+    """Yield a binary handle on a fresh temp file beside path. On a clean
+    exit the file is fsynced and renamed over path; on any exception it is
+    removed and path is left as it was."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
     handle = open(tmp, "xb")
     try:
         with handle:
-            handle.write(data)
+            yield handle
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink()
         raise
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    with atomic_writer(path) as handle:
+        handle.write(data)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

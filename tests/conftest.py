@@ -5,9 +5,11 @@ hfft form of pseudo_wvd and the two-pass bilinear resize kept as a bitwise
 oracle for the row-selecting chain, the per-class report loop kept as the
 reference for the array report, the three-range decimate and the gain-array
 analytic signal kept as bitwise references for their one-path forms, a
-fixed-draws stand-in for a dropout rng, a tracemalloc probe, and a fresh-interpreter runner with a peak-RSS probe and
-a minor-fault counter built on it."""
+fixed-draws stand-in for a dropout rng, a checkpoint's bytes, a tracemalloc
+probe, and a fresh-interpreter runner with a peak-RSS probe and a
+minor-fault counter built on it."""
 
+import io
 import os
 import subprocess
 import sys
@@ -21,6 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from wvdnet.analytic import ComplexSignal
 from wvdnet.evaluation import EvalReport
+from wvdnet.neuralnet import save_checkpoint
 from wvdnet.signal_core import Signal, design_lowpass
 from wvdnet.tfd import TFDImage
 
@@ -247,6 +250,13 @@ class FixedDraws:
     def random(self, shape):
         assert shape == self.draws.shape
         return self.draws
+
+
+def checkpoint_bytes(net, names=None):
+    """The bytes save_checkpoint writes for net and its class names."""
+    buffer = io.BytesIO()
+    save_checkpoint(net, buffer, names)
+    return buffer.getvalue()
 
 
 def traced_memory(call):

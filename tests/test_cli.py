@@ -3,14 +3,15 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import checkpoint_bytes
 
 from wvdnet.cli import _config_from_args, build_parser, main
 from wvdnet.config import RunConfig, build_config, config_hash
 from wvdnet.errors import ConfigError
 from wvdnet.datasets import decode_wav, write_wav_pcm16
 from wvdnet.evaluation import StreamPrediction, majority_vote
-from wvdnet.neuralnet import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Network, reference_config,
-                              save_checkpoint)
+from wvdnet.neuralnet import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Network, load_checkpoint,
+                              reference_config)
 from wvdnet.tfd import image_from_csv
 
 BASE_FLAGS = [
@@ -182,6 +183,17 @@ class TestTrainCommand:
         assert main(["train", "--out", str(tmp_path)] + BASE_FLAGS) == 2
         assert "malformed store.json" in capsys.readouterr().err
 
+    def test_store_json_that_is_not_json_exits_2_and_is_rebuilt(self, workspace, tmp_path,
+                                                                 capsys):
+        (tmp_path / "store.json").write_text("{not json")
+        (tmp_path / "index.csv").write_bytes((workspace["store"] / "index.csv").read_bytes())
+        assert main(["train", "--out", str(tmp_path)] + BASE_FLAGS) == 2
+        assert f"malformed store.json at {tmp_path}: not JSON: " in capsys.readouterr().err
+        assert main(["preprocess", "--dataset-root", str(workspace["data"]), "--source",
+                     "folder_per_class", "--out", str(tmp_path)] + BASE_FLAGS) == 0
+        assert "up to date" not in capsys.readouterr().out
+        assert json.loads((tmp_path / "store.json").read_text())["clips"]
+
 
 class TestEvaluateCommand:
     def test_memorized_training_set_scores_perfectly(self, workspace, capsys):
@@ -205,6 +217,25 @@ class TestEvaluateCommand:
             "--checkpoint", str(tmp_path / "nope.wvdn"),
         ] + BASE_FLAGS)
         assert code == 2
+
+    @pytest.mark.parametrize("names", [["dog", "siren", "drill"], []], ids=["other", "none"])
+    def test_checkpoint_class_names_must_be_the_stores(self, workspace, tmp_path, capsys,
+                                                        names):
+        store = workspace["store"]
+        with open(store / "model.wvdn", "rb") as handle:
+            net, _ = load_checkpoint(handle)
+        ckpt = tmp_path / "renamed.wvdn"
+        ckpt.write_bytes(checkpoint_bytes(net, names))
+        code = main(["evaluate", "--out", str(store), "--split", "train",
+                     "--checkpoint", str(ckpt)] + BASE_FLAGS)
+        if names:
+            assert code == 2
+            assert ("checkpoint classes ['dog', 'siren', 'drill'] do not match the store's "
+                    "['0_tone', '1_chirp', '2_noise']") in capsys.readouterr().err
+        else:  # a checkpoint that names no classes scores under the store's
+            assert code == 0
+            report = json.loads((store / "report.json").read_text())
+            assert report["class_names"] == ["0_tone", "1_chirp", "2_noise"]
 
 
 class TestStreamCommand:
@@ -295,7 +326,7 @@ class TestStreamCommand:
     def test_non_finite_checkpoint_weight_exits_2(self, workspace, tmp_path, capsys):
         wav = tmp_path / "long.wav"
         write_wav_pcm16(wav, np.zeros(20000), 4000.0)
-        blob = save_checkpoint(Network(reference_config((1, 64, 64), 3)))
+        blob = checkpoint_bytes(Network(reference_config((1, 64, 64), 3)))
         ckpt = tmp_path / "nan.wvdn"
         ckpt.write_bytes(blob[:-4] + struct.pack("<f", np.nan))  # the last logit's bias
         code = main([

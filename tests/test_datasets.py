@@ -535,6 +535,37 @@ class TestPreprocess:
         index_file.unlink()
         assert not is_store_current(manifest, cfg, out)
 
+    def test_interrupted_rerun_leaves_no_current_store(self, tmp_path, monkeypatch):
+        # a rerun under another config overwrites the arrays in place; stopped
+        # after 2 of 6 clips, the first run's store.json must not vouch for them
+        root = tmp_path / "data"
+        make_folder_dataset(root, {"a": 3, "b": 3})
+        manifest = load_manifest(root, "folder_per_class")
+        cfg = build_config({}, SMALL_CFG)
+        out = tmp_path / "store"
+        preprocess_dataset(manifest, cfg, out)
+        assert is_store_current(manifest, cfg, out)
+
+        class Interrupted(Exception):
+            pass
+
+        calls = []
+        run = datasets.clip_to_image
+
+        def interrupt_third_clip(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise Interrupted
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(datasets, "clip_to_image", interrupt_third_clip)
+        with pytest.raises(Interrupted):
+            preprocess_dataset(manifest, build_config({}, dict(SMALL_CFG, log_compress=True)),
+                               out)
+        assert not is_store_current(manifest, cfg, out)
+        with pytest.raises(DataError, match="missing store.json"):
+            load_store(out)
+
     @pytest.mark.parametrize("field, value, fault", BAD_LABELS_AND_FOLDS)
     def test_bad_label_or_fold_is_not_current(self, tmp_path, field, value, fault):
         root = tmp_path / "data"

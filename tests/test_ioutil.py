@@ -1,9 +1,11 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
-from wvdnet.ioutil import atomic_write_bytes
+from wvdnet.ioutil import atomic_write_bytes, atomic_writer
+from wvdnet.neuralnet import Network, reference_config, save_checkpoint
 
 
 def test_two_writers_to_one_path_leave_one_whole_payload(tmp_path):
@@ -34,3 +36,13 @@ def test_failed_write_leaves_no_temp_file(tmp_path):
         atomic_write_bytes(target, b"payload")
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
     assert list(target.iterdir()) == []
+
+
+def test_checkpoint_save_that_raises_mid_file_leaves_no_file(tmp_path):
+    net = Network(reference_config((1, 16, 16), 3))
+    net.layers[11].weight[3, 5] = np.nan  # fc1, after the conv tensors are written
+    target = tmp_path / "model.wvdn"
+    with pytest.raises(ValueError, match="non-finite network: layer 11 weight"):
+        with atomic_writer(target) as handle:
+            save_checkpoint(net, handle)
+    assert list(tmp_path.iterdir()) == []

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import re
 import struct
@@ -6,8 +7,8 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import (FixedDraws, assert_grads_close, minor_faults, numeric_gradient,
-                      peak_rss_growth, traced_memory)
+from conftest import (FixedDraws, assert_grads_close, checkpoint_bytes, minor_faults,
+                      numeric_gradient, peak_rss_growth, traced_memory)
 from numpy.lib.stride_tricks import as_strided
 
 from wvdnet import neuralnet
@@ -897,7 +898,7 @@ class TestTrainedNetwork:
 
     def test_checkpoint_is_byte_identical_to_the_twin(self, trained_pair):
         net, kept = trained_pair
-        assert save_checkpoint(net, ["x", "y", "z"]) == save_checkpoint(kept, ["x", "y", "z"])
+        assert checkpoint_bytes(net, ["x", "y", "z"]) == checkpoint_bytes(kept, ["x", "y", "z"])
 
     def test_predict_matches_the_twin(self, trained_pair):
         net, kept = trained_pair
@@ -1012,43 +1013,45 @@ class TestCheckpoint:
         images, labels = small_dataset()
         cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=1e-3, seed=8)
         net, _ = train(small_config(seed=8), images, labels, cfg)
-        blob = save_checkpoint(net, ["x", "y", "z"])
-        restored, names = load_checkpoint(blob)
+        blob = checkpoint_bytes(net, ["x", "y", "z"])
+        restored, names = load_checkpoint(io.BytesIO(blob))
         assert names == ["x", "y", "z"]
         for a, b in zip(net.snapshot(), restored.snapshot()):
             np.testing.assert_array_equal(a, b)
 
     def test_bad_magic_rejected(self):
         net = Network(small_config())
-        blob = save_checkpoint(net)
+        blob = checkpoint_bytes(net)
         with pytest.raises(ValueError, match="magic"):
-            load_checkpoint(b"XXXX" + blob[4:])
+            load_checkpoint(io.BytesIO(b"XXXX" + blob[4:]))
 
     def test_bad_version_rejected(self):
         net = Network(small_config())
-        blob = bytearray(save_checkpoint(net))
+        blob = bytearray(checkpoint_bytes(net))
         blob[4:8] = struct.pack("<I", 99)
         with pytest.raises(ValueError, match="version"):
-            load_checkpoint(bytes(blob))
+            load_checkpoint(io.BytesIO(blob))
 
     def test_truncated_rejected(self):
         net = Network(small_config())
-        blob = save_checkpoint(net)
+        blob = checkpoint_bytes(net)
         with pytest.raises(ValueError, match="truncated"):
-            load_checkpoint(blob[: len(blob) // 2])
+            load_checkpoint(io.BytesIO(blob[: len(blob) // 2]))
 
     def test_trailing_garbage_rejected(self):
         net = Network(small_config())
         with pytest.raises(ValueError, match="trailing"):
-            load_checkpoint(save_checkpoint(net) + b"\x00")
+            load_checkpoint(io.BytesIO(checkpoint_bytes(net) + b"\x00"))
 
     @pytest.mark.parametrize("names", [["a"], ["a", "b", "c", "d"]])
     def test_save_refuses_wrong_class_count(self, names):
+        buffer = io.BytesIO()
         with pytest.raises(ValueError, match="class_names must be 0 or 3 strings"):
-            save_checkpoint(Network(small_config()), names)
+            save_checkpoint(Network(small_config()), buffer, names)
+        assert buffer.getvalue() == b""  # refused before a byte is written
 
     def test_bytes_are_pinned(self):
-        blob = save_checkpoint(Network(small_config(seed=0)), ["a", "b", "c"])
+        blob = checkpoint_bytes(Network(small_config(seed=0)), ["a", "b", "c"])
         assert hashlib.sha256(blob).hexdigest() == (
             "da9c4ada169b4b87fb101e4ba2d89d8dc8301a4281d26fbc6c6136d7b5b668fd"
         )
@@ -1077,11 +1080,12 @@ class TestCheckpoint:
         b"{not json",
     ])
     def test_malformed_header_rejected(self, header):
-        blob = save_checkpoint(Network(small_config()))
+        blob = checkpoint_bytes(Network(small_config()))
         (hlen,) = struct.unpack("<I", blob[8:12])
         body = header if isinstance(header, bytes) else json.dumps(header).encode()
         with pytest.raises(ValueError, match="malformed checkpoint header"):
-            load_checkpoint(blob[:8] + struct.pack("<I", len(body)) + body + blob[12 + hlen :])
+            load_checkpoint(io.BytesIO(blob[:8] + struct.pack("<I", len(body)) + body
+                                       + blob[12 + hlen :]))
 
     # small_config's layers: 0 conv, 2 pool, 3 conv, 5 pool, 6 conv, 8 pool, 11 and 14 linear
     @pytest.mark.parametrize("index,field,value", [
@@ -1099,21 +1103,22 @@ class TestCheckpoint:
         network = small_config().to_dict()
         network["layers"][index][field] = value
         body = json.dumps({"network": network}).encode()
-        blob = save_checkpoint(Network(small_config()))
+        blob = checkpoint_bytes(Network(small_config()))
         (hlen,) = struct.unpack("<I", blob[8:12])
         with pytest.raises(ValueError, match=f"malformed checkpoint header.*layer {index}: "
                                              f".* {field} must be >="):
-            load_checkpoint(blob[:8] + struct.pack("<I", len(body)) + body + blob[12 + hlen :])
+            load_checkpoint(io.BytesIO(blob[:8] + struct.pack("<I", len(body)) + body
+                                       + blob[12 + hlen :]))
 
     def test_load_draws_no_weights_and_keeps_the_stream(self, monkeypatch):
         net = Network(small_config(seed=3))
-        blob = save_checkpoint(net)
+        blob = checkpoint_bytes(net)
 
         def refuse(*args):
             raise AssertionError("load_checkpoint drew weights it then overwrites")
 
         monkeypatch.setattr(neuralnet, "_fill_uniform", refuse)
-        restored, _ = load_checkpoint(blob)
+        restored, _ = load_checkpoint(io.BytesIO(blob))
         for a, b in zip(net.snapshot(), restored.snapshot()):
             assert a.tobytes() == b.tobytes()
         assert restored.rng.bit_generator.state == net.rng.bit_generator.state
@@ -1124,7 +1129,7 @@ class TestCheckpoint:
     ])
     def test_non_finite_tensor_in_checkpoint_rejected(self, index, name, value):
         net = Network(small_config())
-        blob = bytearray(save_checkpoint(net))
+        blob = bytearray(checkpoint_bytes(net))
         (hlen,) = struct.unpack("<I", blob[8:12])
         pos = 12 + hlen + 4  # past the header and the tensor count
         for owner, param in net.param_arrays():
@@ -1136,26 +1141,54 @@ class TestCheckpoint:
             pos += tensor.nbytes
         with pytest.raises(ValueError, match=f"checkpoint tensor layer {index} {name} holds an "
                                              "inf or NaN"):
-            load_checkpoint(bytes(blob))
+            load_checkpoint(io.BytesIO(blob))
 
     def test_save_refuses_non_finite_weight(self):
         net = Network(small_config())
         net.layers[11].weight[3, 5] = np.inf
         with pytest.raises(ValueError, match="non-finite network: layer 11 weight holds"):
-            save_checkpoint(net)
+            checkpoint_bytes(net)
 
-    def test_load_peak_rss_stays_below_twice_fc1(self, tmp_path):
+    @pytest.mark.parametrize("field,what", [("header length", "header"),
+                                            ("tensor rank", "tensor shape")])
+    def test_huge_length_field_raises_before_it_sizes_a_read(self, field, what):
+        blob = bytearray(checkpoint_bytes(Network(small_config())))
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        pos = 8 if field == "header length" else 12 + hlen + 4  # the first tensor's rank
+        blob[pos : pos + 4] = struct.pack("<I", 0xFFFFFFFF)
+        handle = io.BytesIO(blob)
+
+        def load():
+            with pytest.raises(ValueError, match=f"truncated checkpoint while reading {what}$"):
+                load_checkpoint(handle)
+
+        _, peak = traced_memory(load)
+        assert peak < 1 << 20, f"a {field} of 0xFFFFFFFF drove a {peak} byte allocation"
+
+    def test_load_peak_rss_holds_the_weights_once(self, tmp_path):
         net = Network(reference_config((1, 128, 128), 3))
-        fc1 = net.layers[11].weight.nbytes
+        weights = sum(getattr(owner, name).nbytes for owner, name in net.param_arrays())
         path = tmp_path / "model.wvdn"
-        path.write_bytes(save_checkpoint(net))
+        path.write_bytes(checkpoint_bytes(net))
         growth = peak_rss_growth(
-            "net, _ = load_checkpoint(blob)",
-            setup="from pathlib import Path\n"
-                  "from wvdnet.neuralnet import load_checkpoint\n"
-                  f"blob = Path({str(path)!r}).read_bytes()",
+            f"with open({str(path)!r}, 'rb') as handle:\n"
+            "    net, _ = load_checkpoint(handle)",
+            setup="from wvdnet.neuralnet import load_checkpoint",
         )
-        assert growth < 2 * fc1, f"load_checkpoint grew RSS by {growth / fc1:.2f}x fc1"
+        assert growth < 1.25 * weights, f"load_checkpoint grew RSS by {growth / weights:.2f}x"
+
+    def test_save_peak_rss_adds_no_copy_of_the_weights(self, tmp_path):
+        net = Network(reference_config((1, 128, 128), 3))
+        weights = sum(getattr(owner, name).nbytes for owner, name in net.param_arrays())
+        path = tmp_path / "model.wvdn"
+        growth = peak_rss_growth(
+            f"with open({str(path)!r}, 'wb') as handle:\n"
+            "    save_checkpoint(net, handle)",
+            setup="from wvdnet.neuralnet import Network, reference_config, save_checkpoint\n"
+                  "net = Network(reference_config((1, 128, 128), 3))",
+        )
+        assert growth < 0.25 * weights, f"save_checkpoint grew RSS by {growth / weights:.2f}x"
+        assert path.read_bytes() == checkpoint_bytes(net)
 
 
 CONV = {"type": "conv2d", "in_ch": 1, "out_ch": 4, "kernel": 3, "stride": 1, "padding": 1}
