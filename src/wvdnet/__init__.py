@@ -16,6 +16,7 @@ from .datasets import (
     load_manifest,
     load_store,
     preprocess_dataset,
+    read_wav,
     split_indices,
 )
 from .errors import ConfigError, DataError

@@ -18,12 +18,11 @@ import numpy as np
 
 from .config import VALUE_PARSERS, RunConfig, build_config, config_hash, parse_config_file
 from .datasets import (
-    average_channels,
-    decode_wav,
     is_store_current,
     load_manifest,
     load_store,
     preprocess_dataset,
+    read_wav,
     split_indices,
 )
 from .errors import ConfigError, DataError
@@ -123,7 +122,6 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         net_config, store.images[train_idx], store.labels[train_idx], train_cfg, eval_x, eval_y
     )
     ckpt_path = _checkpoint_path(cfg, args)
-    ckpt_path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_writer(ckpt_path) as handle:
         save_checkpoint(net, handle, store.class_names)
     lines = ["epoch,train_loss,eval_accuracy"]
@@ -160,10 +158,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_stream(cfg: RunConfig, args: argparse.Namespace) -> int:
-    wav_path = Path(args.wav)
-    if not wav_path.is_file():
-        raise DataError(f"input file not found: {wav_path}")
-    signal = average_channels(decode_wav(wav_path.read_bytes()))
+    signal = read_wav(args.wav)
     with open(_checkpoint_path(cfg, args), "rb") as handle:
         net, class_names = load_checkpoint(handle)
     if not class_names:
@@ -171,7 +166,6 @@ def cmd_stream(cfg: RunConfig, args: argparse.Namespace) -> int:
     predictions = majority_vote(stream_infer(net, signal, cfg), cfg.vote_windows)
     csv_text = stream_to_csv(predictions, class_names)
     out_path = Path(args.output) if args.output else Path(cfg.out_dir) / "stream.csv"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out_path, csv_text)
     print(f"{len(predictions)} windows -> {out_path}")
     return 0
@@ -180,17 +174,11 @@ def cmd_stream(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_export(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not args.png and not args.csv:
         raise ConfigError("export needs --png and/or --csv output paths")
-    clip_path = Path(args.clip)
-    if not clip_path.is_file():
-        raise DataError(f"input file not found: {clip_path}")
-    signal = average_channels(decode_wav(clip_path.read_bytes()))
-    image = clip_to_image(signal, cfg)
+    image = clip_to_image(read_wav(args.clip), cfg)
     if args.png:
-        Path(args.png).parent.mkdir(parents=True, exist_ok=True)
         atomic_write_bytes(args.png, image_to_png_bytes(image))
         print(f"png: {args.png}")
     if args.csv:
-        Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
         atomic_write_text(args.csv, image_to_csv(image))
         print(f"csv: {args.csv}")
     return 0

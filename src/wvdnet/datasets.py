@@ -1,8 +1,10 @@
 """WAV ingestion, dataset manifests, seeded splits, and batch preprocessing.
 
-`decode_wav` is the one WAV reader: it walks RIFF containers with PCM 16-bit
-or IEEE float 32-bit payloads at any rate and channel count; unknown chunks
-are skipped, malformed ones are rejected with the offending chunk named.
+`read_wav` is the one way a WAV file is read, for preprocessing, stream and
+export: `decode_wav` walks its RIFF container, with a PCM 16-bit or IEEE
+float 32-bit payload at any rate and channel count (unknown chunks are
+skipped, malformed ones are rejected with the offending chunk named), and
+`average_channels` folds the channels into one signal.
 Manifests cover the two CSV-described corpus layouts plus a generic
 folder-per-class tree. A manifest holds each clip's path, label and fold and
 opens no clip, so an unreadable one surfaces in the preprocessing skip report.
@@ -95,19 +97,31 @@ def _walk_wav(data: bytes):
 def decode_wav(data: bytes) -> list[Signal]:
     """Decode PCM16 / float32 WAV bytes into one Signal per channel.
 
-    Integer samples are scaled by 1/32768 so full negative scale maps to -1.
-    Float samples must be finite: a NaN or infinity raises DataError.
+    Every frame is converted to float64 once, into one frames x channels
+    array, and each channel's samples are a column view of it. Integer
+    samples are scaled by 1/32768 so full negative scale maps to -1. Float
+    samples must be finite: a NaN or infinity raises DataError.
     """
     dtype, channels, rate, offset, frames = _walk_wav(data)
     raw = np.frombuffer(data, dtype=dtype, count=frames * channels, offset=offset)
-    raw = raw.reshape(frames, channels).astype(np.float64)
-    if dtype == "<i2":
-        raw /= 32768.0
-    elif not np.isfinite(raw).all():
+    if dtype == "<f4" and not np.isfinite(raw).all():
         raise DataError("'data' chunk holds non-finite float samples")
-    if channels == 1:  # raw is already a new contiguous array
-        return [Signal(raw.reshape(frames), float(rate))]
-    return [Signal(raw[:, ch].copy(), float(rate)) for ch in range(channels)]
+    decoded = raw.reshape(frames, channels).astype(np.float64)
+    if dtype == "<i2":
+        decoded /= 32768.0
+    return [Signal(decoded[:, ch], float(rate)) for ch in range(channels)]
+
+
+def read_wav(path: str | Path) -> Signal:
+    """Read the WAV file at path as one signal: the mean of its channels.
+
+    The one way a WAV file enters the chain (preprocess, stream, export).
+    A missing path raises DataError naming it.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"input file not found: {path}")
+    return average_channels(decode_wav(path.read_bytes()))
 
 
 def write_wav_pcm16(path: str | Path, samples: np.ndarray, rate_hz: float) -> None:
@@ -307,12 +321,11 @@ def _array_filename(index: int, clip_path: str) -> str:
 
 
 def _preprocess_clip(cfg: RunConfig, clip_path: str, out_file: str, work: dict):
-    """Decode one clip, run the pipeline in work, write its array file.
+    """Read one clip, run the pipeline in work, write its array file.
 
     Returns the clip's source rate, or the reason it was skipped (a str)."""
     try:
-        channels = decode_wav(Path(clip_path).read_bytes())
-        signal = average_channels(channels)
+        signal = read_wav(clip_path)
         image = clip_to_image(signal, cfg, work=work)
         atomic_write_bytes(out_file, image.values.astype("<f4").tobytes())
         return signal.sample_rate_hz

@@ -17,10 +17,12 @@ from pathlib import Path
 
 @contextmanager
 def atomic_writer(path: str | Path):
-    """Yield a binary handle on a fresh temp file beside path. On a clean
-    exit the file is fsynced and renamed over path; on any exception it is
-    removed and path is left as it was."""
+    """Yield a binary handle on a fresh temp file beside path, creating
+    path's directory first if it is missing. On a clean exit the file is
+    fsynced and renamed over path; on any exception it is removed and path
+    is left as it was."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
     handle = open(tmp, "xb")
     try:

@@ -437,8 +437,9 @@ def softmax_cross_entropy(logits, labels):
     z = np.atleast_2d(logits).astype(np.float64)
     labels = np.atleast_1d(labels)
     b, k = z.shape
-    if len(labels) != b:
-        raise ValueError(f"{len(labels)} labels for {b} rows of logits")
+    if labels.shape != (b,):  # (B, 1) labels would broadcast to a (B, B) loss
+        raise ValueError(f"labels for {b} rows of logits must have shape ({b},), "
+                         f"got {labels.shape}")
     bad = labels[(labels < 0) | (labels >= k)]
     if len(bad):
         raise ValueError(f"label {bad[0]} out of range for {k} classes")
@@ -743,25 +744,23 @@ def train(
     train_labels = np.asarray(train_labels, dtype=np.int64)
     if len(train_images) == 0:
         raise ValueError("training set is empty")
-    if len(train_images) != len(train_labels):
-        raise ValueError("image/label count mismatch")
-    for what, images in (("training", train_images), ("eval", eval_images)):
-        if images is not None and np.shape(images)[1:] != tuple(config.input_shape):
+    if (eval_images is None) != (eval_labels is None):
+        raise ValueError("eval_images and eval_labels must be given together")
+    sets = [("training", train_images, train_labels)]
+    if eval_labels is not None:
+        eval_labels = np.asarray(eval_labels)
+        sets.append(("eval", eval_images, eval_labels))
+    for what, images, labels in sets:
+        if np.shape(images)[1:] != tuple(config.input_shape):
             raise ValueError(
                 f"{what} images are {np.shape(images)[1:]}, network expects "
                 f"{tuple(config.input_shape)}"
             )
-    if train_labels.min() < 0 or train_labels.max() >= config.num_classes:
-        raise ValueError("labels out of range for the configured class count")
-    if (eval_images is None) != (eval_labels is None):
-        raise ValueError("eval_images and eval_labels must be given together")
-    if eval_labels is not None:
-        eval_labels = np.asarray(eval_labels)
-        if eval_labels.shape != (len(eval_images),):
-            raise ValueError("eval image/label count mismatch")
-        if len(eval_labels) and (eval_labels.min() < 0
-                                 or eval_labels.max() >= config.num_classes):
-            raise ValueError("eval labels out of range for the configured class count")
+        if labels.shape != (len(images),):
+            raise ValueError(f"{what} image/label count mismatch: labels of shape "
+                             f"{labels.shape} for {len(images)} images")
+        if len(labels) and (labels.min() < 0 or labels.max() >= config.num_classes):
+            raise ValueError(f"{what} labels out of range for the configured class count")
 
     net = Network(config, dtype=np.float32)
     shuffle_rng = np.random.default_rng(cfg.seed)
@@ -805,8 +804,9 @@ def train(
             row["eval_accuracy"] = hits / len(eval_images)
             if row["eval_accuracy"] >= best_accuracy:
                 best_accuracy = row["eval_accuracy"]
-                # the last epoch's weights are already in place
-                best = net.snapshot() if epoch < cfg.epochs else None
+                best = None  # drop the old copy first, so two never coexist
+                if epoch < cfg.epochs:  # the last epoch's weights are in place
+                    best = net.snapshot()
         history.append(row)
 
     if best is not None:

@@ -1,8 +1,9 @@
 """Waveform container and the front half of the preprocessing chain.
 
-Covers multi-channel averaging, windowed-sinc anti-alias filtering and
-integer-factor decimation, and clip-length standardization. All functions are
-pure: inputs are never mutated, and outputs are arrays in double precision.
+Covers multi-channel averaging (one running sum over the channels),
+windowed-sinc anti-alias filtering and integer-factor decimation, and
+clip-length standardization. All functions are pure: inputs are never
+mutated, and outputs are arrays in double precision.
 
 Outputs are freshly allocated unless the caller passes a work dict. Then an
 output, and the stage's own temporaries, live in arrays that the dict keeps
@@ -77,15 +78,17 @@ def zero_padded(work: dict | None, key: str, samples: np.ndarray, length: int,
 
 
 def average_channels(channels: list[Signal]) -> Signal:
-    """Average several same-length, same-rate channels into one mono signal."""
+    """Average several same-length, same-rate channels into one mono signal.
+
+    One running sum, 0.0 + channel 0 and then each further channel added in
+    order, divided once by the count: bit for bit the stacked mean, without
+    the stack (one channel comes back as 0.0 + x, so -0.0 reads +0.0).
+    """
     if not channels:
         raise ValueError("cannot average an empty channel list")
-    if len(channels) == 1:
-        # The mean of one channel is 0.0 + x: bit for bit x, except that
-        # -0.0 becomes +0.0. One addition gives exactly that, without a stack.
-        return Signal(channels[0].samples + 0.0, channels[0].sample_rate_hz)
     length = len(channels[0])
     rate = channels[0].sample_rate_hz
+    total = channels[0].samples + 0.0
     for i, ch in enumerate(channels[1:], start=1):
         if len(ch) != length:
             raise ValueError(
@@ -95,8 +98,10 @@ def average_channels(channels: list[Signal]) -> Signal:
             raise ValueError(
                 f"sample rate mismatch: channel 0 at {rate} Hz, channel {i} at {ch.sample_rate_hz} Hz"
             )
-    stacked = np.stack([ch.samples for ch in channels])
-    return Signal(stacked.mean(axis=0), rate)
+        total += ch.samples
+    if len(channels) > 1:
+        total /= len(channels)
+    return Signal(total, rate)
 
 
 def design_lowpass(cutoff_hz: float, sample_rate_hz: float, num_taps: int) -> np.ndarray:

@@ -1,9 +1,10 @@
 import json
 import struct
+import wave
 
 import numpy as np
 import pytest
-from conftest import checkpoint_bytes
+from conftest import checkpoint_bytes, peak_rss_growth
 
 from wvdnet.cli import _config_from_args, build_parser, main
 from wvdnet.config import RunConfig, build_config, config_hash
@@ -335,6 +336,32 @@ class TestStreamCommand:
         assert code == 2
         assert "checkpoint tensor layer 14 bias holds an inf or NaN" in capsys.readouterr().err
 
+
+    def test_stereo_recording_peak_rss_is_set_by_one_decoded_array(self, tmp_path):
+        # 120 s of 44.1 kHz stereo: the read sets the peak, at 3.0x the
+        # mono float64 size (one float64 array of every frame, then the
+        # channel sum); a copy per channel, their stack and the mean held at
+        # once came to 5.0x. The 24 MB covers the interpreter's and
+        # allocator's slack; the 128x128 checkpoint's 33 MB is loaded after
+        # the read, beside only the mono signal.
+        rate, seconds = 44100, 120
+        mono_bytes = 8 * rate * seconds
+        wav = tmp_path / "stereo.wav"
+        pcm = np.random.default_rng(0).integers(-8192, 8192, 2 * rate * seconds, dtype="<i2")
+        with wave.open(str(wav), "wb") as handle:
+            handle.setnchannels(2)
+            handle.setsampwidth(2)
+            handle.setframerate(rate)
+            handle.writeframes(pcm.tobytes())
+        del pcm
+        ckpt = tmp_path / "model.wvdn"
+        ckpt.write_bytes(checkpoint_bytes(Network(reference_config((1, 128, 128), 3))))
+        argv = ["stream", str(wav), "--checkpoint", str(ckpt), "--out", str(tmp_path),
+                "--image-rows", "128", "--image-cols", "128", "--stride-seconds", "20"]
+        growth = peak_rss_growth(f"assert main({argv!r}) == 0",
+                                 setup="from wvdnet.cli import main")
+        assert growth < 3.25 * mono_bytes + 24e6, f"{growth / mono_bytes:.2f}x the mono size"
+        assert len((tmp_path / "stream.csv").read_text().splitlines()) == 1 + 6
 
 class TestExportCommand:
     def test_png_and_csv_outputs(self, workspace, tmp_path):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import peak_rss_growth
+from conftest import peak_rss_growth, traced_memory
 
 from wvdnet import datasets
 from wvdnet.config import RunConfig, build_config
@@ -18,6 +18,7 @@ from wvdnet.datasets import (
     load_manifest,
     load_store,
     preprocess_dataset,
+    read_wav,
     split_indices,
     write_wav_pcm16,
 )
@@ -101,6 +102,29 @@ class TestDecodeWav:
         left, _ = decode_wav(wav_bytes(stereo.tobytes(), fmt_tag=fmt_tag, channels=2, bits=bits))
         assert left.samples.tobytes() == signal.samples.tobytes()
 
+    @pytest.mark.parametrize("channels", [2, 3])
+    @pytest.mark.parametrize("dtype", ["<i2", "<f4"])
+    def test_channels_are_the_per_channel_copies(self, channels, dtype):
+        """Each channel, a column view of the one decoded array, holds the
+        same bits as a contiguous copy of that channel's samples."""
+        rng = np.random.default_rng(channels)
+        if dtype == "<i2":
+            raw = rng.integers(-32768, 32768, 5 * channels).astype(dtype)
+            fmt_tag, bits = 1, 16
+        else:
+            raw = np.concatenate([[-0.0, 1e-40, -1.0], rng.standard_normal(5 * channels - 3)])
+            raw = raw.astype(dtype)
+            fmt_tag, bits = 3, 32
+        decoded = decode_wav(wav_bytes(raw.tobytes(), fmt_tag=fmt_tag, channels=channels,
+                                       bits=bits))
+        frames = raw.reshape(5, channels).astype(np.float64)
+        if fmt_tag == 1:
+            frames /= 32768.0
+        assert len(decoded) == channels
+        for ch, signal in enumerate(decoded):
+            assert signal.samples.tobytes() == frames[:, ch].copy().tobytes()
+            assert signal.sample_rate_hz == 8000.0
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_float_sample_rejected(self, bad):
         payload = struct.pack("<4f", 0.0, 0.25, bad, -1.0)  # stereo: frame 1, channel 0
@@ -155,6 +179,31 @@ def test_decode_rejects_header(name):
     blob, message = REJECTED_HEADERS[name]
     with pytest.raises(DataError, match=message):
         decode_wav(blob)
+
+
+class TestReadWav:
+    def test_missing_file_named(self, tmp_path):
+        with pytest.raises(DataError, match="input file not found: .*absent.wav"):
+            read_wav(tmp_path / "absent.wav")
+
+    # One decoded array plus the running sum is 3.00x the mono float64 size
+    # for stereo (2.00x for mono: the file's bytes and the decode); a copy
+    # per channel, their stack and the mean held at once came to 5.00x.
+    @pytest.mark.parametrize("channels, bound", [(1, 2.25), (2, 3.25)], ids=["mono", "stereo"])
+    @pytest.mark.parametrize("dtype", ["<i2", "<f4"])
+    def test_peak_is_bounded_by_the_mono_float64_size(self, tmp_path, channels, bound, dtype):
+        frames = 200_000
+        raw = np.random.default_rng(0).integers(-32768, 32768, frames * channels)
+        if dtype == "<i2":
+            data = wav_bytes(raw.astype(dtype).tobytes(), channels=channels)
+        else:
+            data = wav_bytes((raw / 32768.0).astype(dtype).tobytes(), fmt_tag=3,
+                             channels=channels, bits=32)
+        path = tmp_path / "clip.wav"
+        path.write_bytes(data)
+        del data
+        _, peak = traced_memory(lambda: read_wav(path))
+        assert peak <= bound * 8 * frames, f"peak {peak / (8 * frames):.2f}x the mono size"
 
 
 def make_folder_dataset(root, spec, rate=4000.0, seconds=0.5, seed=0):
@@ -505,6 +554,17 @@ class TestPreprocess:
         assert "junk.wav" in report and "RIFF" in report
         store = load_store(tmp_path / "store")
         assert len(store) == 1
+
+    def test_vanished_clip_lands_in_skip_report(self, tmp_path):
+        root = tmp_path / "data"
+        make_folder_dataset(root, {"ok": 2})
+        manifest = load_manifest(root, "folder_per_class")
+        gone = Path(manifest.records[0].path)
+        gone.unlink()  # after the manifest saw it, before preprocessing reads it
+        summary = preprocess_dataset(manifest, build_config({}, SMALL_CFG), tmp_path / "store")
+        assert summary == {"written": 1, "skipped": 1}
+        report = (tmp_path / "store" / "skipped.txt").read_text()
+        assert report == f"{gone}: input file not found: {gone}\n"
 
     def test_non_finite_float_clip_lands_in_skip_report(self, tmp_path):
         root = tmp_path / "data"

@@ -29,6 +29,13 @@ def test_two_writers_to_one_path_leave_one_whole_payload(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["shared.bin"]
 
 
+def test_write_into_a_missing_directory_creates_it(tmp_path):
+    target = tmp_path / "new" / "nested" / "out.bin"
+    atomic_write_bytes(target, b"payload")
+    assert target.read_bytes() == b"payload"
+    assert [p.name for p in target.parent.iterdir()] == ["out.bin"]
+
+
 def test_failed_write_leaves_no_temp_file(tmp_path):
     target = tmp_path / "taken"
     target.mkdir()  # os.replace cannot put a file over a directory

@@ -55,6 +55,23 @@ class TestAverageChannels:
         assert out.samples.tobytes() == expected.tobytes()
         assert out.samples is not a.samples and out.samples is not b.samples
 
+    @pytest.mark.parametrize("count", range(1, 9))
+    @pytest.mark.parametrize("values", ["finite", "signed-zeros", "infinities", "subnormals"])
+    def test_running_sum_is_the_stacked_mean_bit_for_bit(self, count, values):
+        rng = np.random.default_rng(count)
+        pools = {
+            "finite": rng.standard_normal(64) * 10.0 ** rng.integers(-8, 9, 64),
+            "signed-zeros": np.array([0.0, -0.0, 0.5, -0.5]),
+            "infinities": np.array([np.inf, -np.inf, 1.0, -0.0]),
+            "subnormals": np.array([5e-324, -5e-324, 1e-310, -2.5e-309, 0.0, -0.0]),
+        }
+        chans = [Signal(rng.choice(pools[values], 257), 8000.0) for _ in range(count)]
+        with np.errstate(invalid="ignore"):  # inf + -inf is NaN, in both forms
+            out = average_channels(chans)
+            expected = np.stack([ch.samples for ch in chans]).mean(axis=0)
+        assert out.samples.tobytes() == expected.tobytes()
+        assert all(out.samples is not ch.samples for ch in chans)
+
     def test_opposite_channels_cancel(self):
         a = Signal([1.0, 1.0, 1.0], 8000.0)
         b = Signal([-1.0, -1.0, -1.0], 8000.0)
