@@ -22,18 +22,36 @@ out_shape from the input to the logits, so each geometry rule is written once
 and the spec types map to layer classes in one table, _LAYER_TYPES.
 
 Network runs its conv blocks, the leading run of Conv2d, ReLU and MaxPool2d
-layers, one sample at a time: each sample goes through every block before
-the next sample starts, so only one sample's conv output, and in backward
-only one sample's conv-output gradient, exists at a time. Block layers keep
-their per-sample state in `_cache`, which Network saves after each sample's
-forward and puts back before its backward: the padded input (Conv2d), the
-uint8 tap index (MaxPool2d) or the mask (ReLU). The layers from the first
-Flatten, Dropout or Linear on run on the whole batch; dropout draws one mask
-per batch. Backward runs that head at batch size, then the blocks in reverse
-for samples 0..B-1, and each block layer with params adds up its samples'
-parameter gradients in that order, as Conv2d.backward does within a batch,
-so both give the same bits. Conv2d builds im2col columns one sample at a
-time.
+layers, one sample at a time on each thread that runs them: a sample goes
+through every block before that thread's next sample starts, so one
+sample's conv output, and in backward one sample's conv-output gradient,
+exists per thread at a time. Block layers keep their per-sample state in
+`_cache`, which Network saves after each sample's forward and puts back
+before its backward: the padded input (Conv2d), the uint8 tap index
+(MaxPool2d) or the mask (ReLU). The layers from the first Flatten, Dropout
+or Linear on run on the whole batch; dropout draws one mask per batch.
+Backward runs that head at batch size, then the blocks in reverse for every
+sample, and once all samples are done each block layer with params adds up
+their parameter gradients in sample order 0..B-1, as Conv2d.backward does
+within a batch, so both give the same bits. Conv2d builds im2col columns
+one sample at a time.
+
+A training pass (forward with train true, and backward) sends the samples
+of its blocks to W = min(B, available cores) workers, and worker k runs
+samples k, k + W, ... The calling thread is worker 0 and runs the block
+layers themselves. Each other worker runs on a pool thread that ends with
+the pass, on shallow clones of the block layers made for that pass: they
+share the parameter arrays, keep their own _cache and gradients, and carry
+no forward or backward set on the instance, so a tracer that wraps the
+layers' own sees the calling thread's calls only. For the whole block loop
+the OpenBLAS that numpy bundles runs on one thread, process-wide, and the
+caller's thread count comes back after. Two workers with BLAS left on two
+threads ran twice as slow, and on one thread each conv's weight-gradient
+product, whose bits change with BLAS's thread count, gives the same bits
+on any core count. Where numpy bundles no such OpenBLAS, the pass runs
+serially at BLAS's own count. The head, and the whole of a scoring
+forward, run on the calling thread: two samples in flight raised a
+batch-32 scoring forward's peak at 300x300 from 33.5 to 54.4 MB.
 
 predict is the one scoring function: evaluation, every stream window and
 train()'s per-epoch eval all call it, and it scores a batch 32 images at a
@@ -81,8 +99,8 @@ _fill_uniform. That writes, element for element and in row-major order, the
 value that one rng.uniform(-bound, bound, shape) call would give, cast to the
 layer dtype, and leaves rng where that call would. A weight larger than one chunk of
 _INIT_CHUNK draws, drawn from a PCG64 stream, is split by rows into one part
-per available core. The calling thread fills part 0 from rng itself, and a
-thread pool that ends with the fill runs the others. Part k draws from a copy
+per available core, run by _in_parts as the training pass runs its workers.
+The calling thread fills part 0 from rng itself. Part k draws from a copy
 of the stream advanced past the draws of the parts before it. The bits match
 because each uniform double is low + (high - low) * next_double, which
 consumes exactly one 64-bit output, so advance(n) lands where n draws would.
@@ -95,6 +113,9 @@ as a single part on the calling thread.
 from __future__ import annotations
 
 import copy
+import ctypes
+import functools
+import glob
 import inspect
 import json
 import math
@@ -148,22 +169,66 @@ def _fill_uniform(weight, bound, rng):
             draws += low
             part[i : i + len(draws)] = draws
 
-    # Part 0 runs here, so a one-part fill starts no thread: with a pool
-    # thread for every layer of every build, 5 of 8 perfbench train-300 runs
-    # kept about 96 MB more freed heap resident.
-    if parts == 1:
-        fill(0)
-        return
-    with ThreadPoolExecutor(parts - 1) as pool:
-        rest = [pool.submit(fill, k) for k in range(1, parts)]
-        fill(0)
-        for future in rest:
-            future.result()  # re-raises a part's exception
+    _in_parts(parts, fill)
     # the last part ended where the whole draw ends; advance() would also
     # have dropped rng's buffered 32-bit half-draw, which the state keeps
     state = bitgen.state
     state["state"] = gens[-1].bit_generator.state["state"]
     bitgen.state = state
+
+
+def _in_parts(parts, run):
+    """run(k) for k in range(parts): part 0 on the calling thread, the
+    others on a thread pool that ends with the call. A part's exception is
+    re-raised here once every part has ended."""
+    # One part starts no thread: with a pool thread for every layer of every
+    # build, 5 of 8 perfbench train-300 runs kept about 96 MB more freed
+    # heap resident.
+    if parts == 1:
+        run(0)
+        return
+    with ThreadPoolExecutor(parts - 1) as pool:
+        rest = [pool.submit(run, k) for k in range(1, parts)]
+        run(0)
+        for future in rest:
+            future.result()
+
+
+@functools.cache
+def _blas_threads():
+    """The (get, set) functions of the thread count of the OpenBLAS that
+    numpy wheels bundle in numpy.libs, or None where there is no such
+    library or it lacks them."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__path__[0]), "numpy.libs", "*openblas*"))
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's malloc_trim, which hands the free pages of every malloc
+    arena back to the OS, or None where the C library has none."""
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def _clone(layer):
+    """A copy of a block layer for a worker thread: it shares the layer's
+    parameter arrays, keeps its own per-sample state and gradients, and
+    carries no forward or backward set on the instance (a tracer's
+    wrappers), so it runs the class's own."""
+    clone = copy.copy(layer)
+    vars(clone).pop("forward", None)
+    vars(clone).pop("backward", None)
+    return clone
 
 
 def _init_params(layer, shape, dtype, rng, draw):
@@ -599,10 +664,40 @@ class Network:
             else:
                 self._blocks.append(layer)
 
+    def _per_sample(self, count, step):
+        """step(blocks, n) for each sample n < count, where blocks is
+        self._blocks or a worker's clones of them: samples k, k + W, ... go
+        to worker k of W = min(count, cores), with BLAS held at one thread
+        (see the module docstring). Without numpy's OpenBLAS, serial."""
+        blas = _blas_threads()
+        workers = max(1, min(count, len(os.sched_getaffinity(0)))) if blas else 1
+
+        def run(k):
+            # fresh clones on every pass: a parameter rebound since the last
+            # pass (train()'s best-epoch restore) must be the one they share
+            blocks = [_clone(layer) for layer in self._blocks] if k else self._blocks
+            for n in range(k, count, workers):
+                step(blocks, n)
+
+        if blas is None:
+            run(0)
+            return
+        get, put = blas
+        threads = get()
+        put(1)
+        try:
+            _in_parts(workers, run)
+        finally:
+            put(threads)
+
     def forward(self, x, train=False):
         """The logits of a batch. With train false (scoring) nothing is kept
         for backward: no per-sample state, and no layer's _cache once the
-        forward returns."""
+        forward returns; every layer runs on the calling thread. With train
+        true the conv blocks run as _per_sample sends them: each sample on
+        one worker thread, the calling thread on the block layers
+        themselves, and BLAS on one thread process-wide until they are all
+        done. The head then runs on the calling thread at BLAS's own count."""
         x = np.asarray(x, dtype=self.dtype)
         if x.shape[1:] != tuple(self.config.input_shape):
             raise ValueError(
@@ -611,14 +706,21 @@ class Network:
             )
         self._caches = [[None] * len(x) for _ in self._blocks] if train else None
         if self._blocks:
-            outputs = []
-            for n in range(len(x)):
+            outputs = [None] * len(x)
+
+            def step(blocks, n):
                 h = x[n : n + 1]
-                for i, layer in enumerate(self._blocks):
+                for i, layer in enumerate(blocks):
                     h = layer.forward(h, train=train)
                     if train:
                         self._caches[i][n] = layer._cache
-                outputs.append(h)
+                outputs[n] = h
+
+            if train:
+                self._per_sample(len(x), step)
+            else:
+                for n in range(len(x)):
+                    step(self._blocks, n)
             x = np.concatenate(outputs)
         for layer in self.layers[len(self._blocks) :]:
             x = layer.forward(x, train=train)
@@ -630,7 +732,11 @@ class Network:
     def backward(self, grad_logits):
         """Fill every layer's parameter gradients, a Linear weight's as
         Linear.backward leaves it, formed when read. The network's input
-        gradient is never read, so the first layer does not compute it."""
+        gradient is never read, so the first layer does not compute it.
+        The head runs on the calling thread at BLAS's own thread count, then
+        the conv blocks as in a training forward, one worker thread per
+        sample and BLAS on one thread process-wide; once all are done, each
+        block layer's parameter gradients are summed in sample order."""
         if self._caches is None:
             raise ValueError("Network.backward needs a train=True forward first")
         head = self.layers[len(self._blocks) :]
@@ -638,21 +744,24 @@ class Network:
         g = grad_logits
         for layer in reversed(head):
             g = _backward(layer, g, layer is first)
-        sums = {}  # block layer -> its parameter gradients summed over samples so far
-        for n in range(len(g) if self._blocks else 0):
+        if not self._blocks:
+            return
+        grads = [[None] * len(g) for _ in self._blocks]  # per block layer, per sample
+
+        def step(blocks, n):
             h = g[n : n + 1]
-            for layer, caches in zip(reversed(self._blocks), reversed(self._caches)):
-                layer._cache = caches[n]
-                h = _backward(layer, h, layer is first)
-                grads = [getattr(layer, "grad_" + name) for name in layer.params]
-                if n:
-                    for total, grad in zip(sums[layer], grads):
-                        total += grad
-                else:
-                    sums[layer] = grads
-        for layer, grads in sums.items():
-            for name, grad in zip(layer.params, grads):
-                setattr(layer, "grad_" + name, grad)
+            for i in reversed(range(len(blocks))):
+                layer = blocks[i]
+                layer._cache = self._caches[i][n]
+                h = _backward(layer, h, i == 0)
+                grads[i][n] = [getattr(layer, "grad_" + name) for name in layer.params]
+
+        self._per_sample(len(g), step)
+        for layer, samples in zip(self._blocks, grads):
+            for name, total, *rest in zip(layer.params, *samples):
+                for grad in rest:
+                    total += grad
+                setattr(layer, "grad_" + name, total)
 
     def drop_state(self):
         """Drop every layer's gradients and the last pass's backward state,
@@ -737,11 +846,12 @@ def train(
     to the later epoch; the final state when there is no eval set) and the
     per-epoch history of train loss and eval accuracy. The network comes back
     with its weights only: no gradients and no backward state from the last
-    pass, which a later forward and backward would rebuild. A batch loss that
-    is inf or NaN (a diverged run) raises ValueError.
+    pass, which a later forward and backward would rebuild, and the C heap's
+    free pages go back to the OS where glibc's malloc_trim exists. A batch
+    loss that is inf or NaN (a diverged run) raises ValueError.
     """
     train_images = np.asarray(train_images, dtype=np.float32)
-    train_labels = np.asarray(train_labels, dtype=np.int64)
+    train_labels = np.asarray(train_labels)
     if len(train_images) == 0:
         raise ValueError("training set is empty")
     if (eval_images is None) != (eval_labels is None):
@@ -759,6 +869,8 @@ def train(
         if labels.shape != (len(images),):
             raise ValueError(f"{what} image/label count mismatch: labels of shape "
                              f"{labels.shape} for {len(images)} images")
+        if labels.dtype.kind not in "iu":  # a cast would train 0.7 + k as k
+            raise ValueError(f"{what} labels are {labels.dtype}, need integers")
         if len(labels) and (labels.min() < 0 or labels.max() >= config.num_classes):
             raise ValueError(f"{what} labels out of range for the configured class count")
 
@@ -812,6 +924,13 @@ def train(
     if best is not None:
         for (owner, name), arr in zip(net.param_arrays(), best):
             setattr(owner, name, arr)
+    # The passes' freed per-sample state stays resident in the main heap and
+    # in the worker threads' arenas. Without this, perfbench train-300, whose
+    # peak comes after train() returns, read 853-900 MB in three 2 s runs;
+    # with it, 750-799 MB (median 755) over ten 30 s runs.
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
     return net, history
 
 

@@ -6,8 +6,8 @@ oracle for the row-selecting chain, the per-class report loop kept as the
 reference for the array report, the three-range decimate and the gain-array
 analytic signal kept as bitwise references for their one-path forms, a
 fixed-draws stand-in for a dropout rng, a checkpoint's bytes, a tracemalloc
-probe, and a fresh-interpreter runner with a peak-RSS probe and a
-minor-fault counter built on it."""
+probe, and a fresh-interpreter runner, which can set the BLAS thread count,
+with a peak-RSS probe and a minor-fault counter built on it."""
 
 import io
 import os
@@ -280,14 +280,23 @@ def peak_rss():
 """
 
 
-def run_fresh(code):
+def run_child(code, blas_threads=None):
     """Run `code` in a fresh interpreter that imports this checkout's
-    package, and return the last word it prints, as a float."""
+    package, with OPENBLAS_NUM_THREADS set to `blas_threads` when given;
+    returns what it prints."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    env = {**os.environ, "PYTHONPATH": path}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
-    return float(done.stdout.split()[-1])
+    return done.stdout
+
+
+def run_fresh(code):
+    """Run `code` as run_child does, and return the last word it prints,
+    as a float."""
+    return float(run_child(code).split()[-1])
 
 
 def peak_rss_growth(snippet, setup=""):

@@ -3,12 +3,14 @@ import io
 import json
 import re
 import struct
+import sys
+import textwrap
 import threading
 
 import numpy as np
 import pytest
 from conftest import (FixedDraws, assert_grads_close, checkpoint_bytes, minor_faults,
-                      numeric_gradient, peak_rss_growth, traced_memory)
+                      numeric_gradient, peak_rss_growth, run_child, traced_memory)
 from numpy.lib.stride_tricks import as_strided
 
 from wvdnet import neuralnet
@@ -270,8 +272,9 @@ class TestMaxPool:
 
 
 def parts_of(monkeypatch, cores, chunk=None):
-    """Make _fill_uniform see `cores` available cores and, when given, a
-    smaller chunk, so small layers split into several parts."""
+    """Make _fill_uniform and the training pass see `cores` available cores
+    and, when given, a smaller chunk, so small layers split into several
+    parts."""
     monkeypatch.setattr(neuralnet.os, "sched_getaffinity", lambda pid: set(range(cores)))
     if chunk is not None:
         monkeypatch.setattr(neuralnet, "_INIT_CHUNK", chunk)
@@ -828,6 +831,26 @@ class TestTraining:
             train(small_config(), images, train_labels, TrainConfig(epochs=1, batch_size=2),
                   images, eval_labels)
 
+    # cast to int64, training labels + 0.7 trained as the labels, and eval
+    # labels + 0.5 scored 0.0 every epoch
+    @pytest.mark.parametrize("which", ["training", "eval"])
+    def test_float_labels_rejected(self, which):
+        images, labels = small_dataset(n=6)
+        train_labels = labels + 0.7 if which == "training" else labels
+        eval_labels = labels + 0.5 if which == "eval" else labels
+        with pytest.raises(ValueError, match=rf"{which} labels are float64, need integers"):
+            train(small_config(), images, train_labels, TrainConfig(epochs=1, batch_size=2),
+                  images, eval_labels)
+
+    def test_training_hands_the_free_heap_back(self, monkeypatch):
+        # perfbench train-300's peak comes after train() returns: it read
+        # 853-900 MB without the trim, on the heap the passes had freed
+        trims = []
+        monkeypatch.setattr(neuralnet, "_malloc_trim", lambda: trims.append)
+        images, labels = small_dataset(n=4)
+        train(small_config(), images, labels, TrainConfig(epochs=1, batch_size=4))
+        assert trims == [0]
+
     @pytest.mark.parametrize("epochs", [3, 4])
     def test_best_epoch_snapshot_is_held_once(self, epochs):
         # A learning rate of 0 keeps every epoch's eval accuracy, so every
@@ -871,6 +894,145 @@ class TestTraining:
         for rate in (np.nan, np.inf):  # train once returned such a run's NaN weights
             with pytest.raises(ValueError, match="learning_rate must be finite"):
                 TrainConfig(epochs=1, learning_rate=rate)
+
+
+def openblas_threads():
+    """numpy's OpenBLAS thread-count functions (get, set); skips the test
+    where numpy bundles none."""
+    blas = neuralnet._blas_threads()
+    if blas is None:
+        pytest.skip("needs the OpenBLAS that numpy wheels bundle")
+    return blas
+
+
+def conv_threads(monkeypatch):
+    """A dict, filled from here on, of the thread that runs each first-layer
+    Conv2d forward, by the first pixel of its one-sample input."""
+    seen = {}
+    forward = Conv2d.forward
+
+    def recording(layer, x, train=False):
+        if layer.in_ch == 1:
+            seen[float(x[0, 0, 0, 0])] = threading.get_ident()
+        return forward(layer, x, train)
+
+    monkeypatch.setattr(Conv2d, "forward", recording)
+    return seen
+
+
+def train_step_grads(net, images, labels):
+    """The bytes of every parameter gradient after one training pass."""
+    net.backward(softmax_cross_entropy(net.forward(images, train=True), labels)[1])
+    return [getattr(owner, "grad_" + name).tobytes() for owner, name in net.param_arrays()]
+
+
+class TestTrainingThreads:
+    @pytest.mark.parametrize("config", [small_config(seed=21),
+                                        reference_config((1, 48, 48), 3, seed=22)],
+                             ids=["16x16", "48x48"])
+    def test_same_bits_on_any_core_count(self, monkeypatch, config):
+        # batches of 5 split unevenly over 2 and 3 workers; a short switch
+        # interval interleaves the workers' writes of per-sample state
+        rng = np.random.default_rng(23)
+        images = rng.random((14, *config.input_shape), dtype=np.float32)
+        labels = np.arange(14) % 3
+        cfg = TrainConfig(epochs=2, batch_size=5, learning_rate=0.05, seed=24)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for cores in (1, 2, 3):
+                parts_of(monkeypatch, cores)
+                net, history = train(config, images[:10], labels[:10], cfg, images[10:],
+                                     labels[10:])
+                runs.append((history, [weight.tobytes() for weight in net.snapshot()]))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    def test_worker_k_runs_samples_k_plus_multiples_of_w(self, monkeypatch):
+        openblas_threads()
+        parts_of(monkeypatch, 3)
+        images, labels = small_dataset(n=7)
+        images[:, 0, 0, 0] = np.arange(7)  # tells the samples apart
+        net = Network(small_config(seed=25))
+        threads = conv_threads(monkeypatch)
+        train_step_grads(net, images, labels)
+        caller = threading.get_ident()
+        assert [n for n in range(7) if threads[n] == caller] == [0, 3, 6]
+        assert threads[1] == threads[4] != caller
+        assert threads[2] == threads[5] != caller
+
+    def test_without_openblas_the_pass_is_serial(self, monkeypatch):
+        parts_of(monkeypatch, 3)
+        images, labels = small_dataset(n=7)
+        images[:, 0, 0, 0] = np.arange(7)
+        nets = Network(small_config(seed=25)), Network(small_config(seed=25))
+        threaded = train_step_grads(nets[0], images, labels)
+        monkeypatch.setattr(neuralnet, "_blas_threads", lambda: None)
+
+        def no_pool(*args):
+            raise AssertionError("the pass started a thread pool")
+
+        monkeypatch.setattr(neuralnet, "ThreadPoolExecutor", no_pool)
+        threads = conv_threads(monkeypatch)
+        assert train_step_grads(nets[1], images, labels) == threaded
+        assert threads == dict.fromkeys(range(7), threading.get_ident())
+
+    def test_blas_thread_count_restored(self, monkeypatch):
+        get, put = openblas_threads()
+        before = get()
+        put(3)  # a count other than the pass's one thread
+        caller = get()
+        try:
+            parts_of(monkeypatch, 2)
+            images, labels = small_dataset(n=4)
+            train(small_config(), images, labels, TrainConfig(epochs=1, batch_size=4))
+            assert get() == caller
+            forward = Conv2d.forward
+            during, failed_on = [], []
+
+            def failing(layer, x, train=False):
+                during.append(get())
+                if x.shape[1] == 1 and x[0, 0, 0, 0] == 7:  # conv1 on sample 1
+                    failed_on.append(threading.get_ident())
+                    raise RuntimeError("sample 1 failed")
+                return forward(layer, x, train)
+
+            monkeypatch.setattr(Conv2d, "forward", failing)
+            images[1, 0, 0, 0] = 7
+            net, started = Network(small_config()), threading.active_count()
+            with pytest.raises(RuntimeError, match="sample 1 failed"):
+                net.forward(images, train=True)
+            assert failed_on and failed_on[0] != threading.get_ident()
+            assert set(during) == {1}
+            assert get() == caller
+            assert threading.active_count() == started
+        finally:
+            put(before)
+
+    def test_conv_weight_gradients_do_not_depend_on_blas_threads(self):
+        # Before the passes held BLAS at one thread, conv2's and conv3's
+        # weight gradients changed bits between one BLAS thread and two. The
+        # blocks feed the logits directly: the reference head's fc1 input
+        # gradient changes bits with the thread count itself.
+        openblas_threads()
+        code = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from wvdnet.neuralnet import (Conv2d, Network, NetworkConfig, reference_config,
+                                          softmax_cross_entropy)
+            blocks = reference_config((1, 300, 300), 10).layers[:10]  # through flatten
+            logits = {"type": "linear", "in_features": 87616, "out_features": 10}
+            net = Network(NetworkConfig(layers=blocks + (logits,), input_shape=(1, 300, 300),
+                                        num_classes=10, seed=26))
+            x = np.random.default_rng(27).random((2, 1, 300, 300), dtype=np.float32)
+            net.backward(softmax_cross_entropy(net.forward(x, train=True), [3, 7])[1])
+            convs = [layer for layer in net.layers if isinstance(layer, Conv2d)]
+            print(hashlib.sha256(b"".join(conv.grad_weight.tobytes() for conv in convs)).hexdigest())
+        """)
+        assert run_child(code, blas_threads=1) == run_child(code, blas_threads=2)
 
 
 def held_state(net):
