@@ -39,8 +39,8 @@ one sample at a time.
 A training pass (forward with train true, and backward) sends the samples
 of its blocks to W = min(B, available cores) workers, and worker k runs
 samples k, k + W, ... The calling thread is worker 0 and runs the block
-layers themselves. Each other worker runs on a pool thread that ends with
-the pass, on shallow clones of the block layers made for that pass: they
+layers themselves. Each other worker runs on a thread of its own that ends
+with the pass, on shallow clones of the block layers made for that pass: they
 share the parameter arrays, keep their own _cache and gradients, and carry
 no forward or backward set on the instance, so a tracer that wraps the
 layers' own sees the calling thread's calls only. For the whole block loop
@@ -58,17 +58,23 @@ train()'s per-epoch eval all call it, and it scores a batch 32 images at a
 time through a scoring forward, Network.forward with train false. That keeps
 nothing for backward: Network saves no per-sample state, so each block layer's
 _cache holds only the sample it last ran, and every layer's _cache is
-cleared before the forward returns. Network.backward needs a train=True
-forward first. A layer called on its own keeps its _cache whatever its
-train argument, so its backward can follow a default forward.
+cleared before the forward returns. A scoring forward's pools compute no
+tap index either: Network calls each MaxPool2d's forward with index false.
+Network.backward needs a train=True forward first. A layer called on its
+own keeps its _cache whatever its train argument, so its backward can
+follow a default forward.
 
 MaxPool2d windows tile their input: the stride equals the kernel, as in
-every network train builds. Forward reads each tap view, one strided view of
-the input per window position, once: the running max takes
-np.maximum(tap, max), which keeps the old max on a tie, and the uint8 tap
-index takes q wherever that rose (or a NaN entered), in uint8 arithmetic as
-max(index, q * rose). The last tap that raised the max is the first that
-matches it. Backward writes each input element once: the bits of
+every network train builds. Forward takes the running max over each window
+row's k column taps, the strided views x[:, :, :k*hout, j:k*wout:k], then
+over the window's k rows of that, each step as np.maximum(later, earlier),
+which returns earlier on a tie: a +0.0 and -0.0 tie keeps the bits of the
+first tap in row-major order, and a NaN stays once it enters. The uint8 tap
+index, when forward is asked for it, counts the leading taps in row-major
+order that miss the max (tap != max): that is the first tap that matches
+it, and the last tap for a NaN window, which every tap misses. The tap
+views, one strided view of the input per window position, feed the index
+and backward. Backward writes each input element once: the bits of
 grad_out + 0.0 times (index == q), as same-width unsigned ints, which is
 what adding the taps into zeros gives, -0.0 turned +0.0 included.
 
@@ -99,7 +105,8 @@ _fill_uniform. That writes, element for element and in row-major order, the
 value that one rng.uniform(-bound, bound, shape) call would give, cast to the
 layer dtype, and leaves rng where that call would. A weight larger than one chunk of
 _INIT_CHUNK draws, drawn from a PCG64 stream, is split by rows into one part
-per available core, run by _in_parts as the training pass runs its workers.
+per available core, run by _in_parts as the training pass runs its workers:
+part 0 on the calling thread, each other part on a thread of its own.
 The calling thread fills part 0 from rng itself. Part k draws from a copy
 of the stream advanced past the draws of the parts before it. The bits match
 because each uniform double is low + (high - low) * next_double, which
@@ -121,8 +128,8 @@ import json
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from threading import Thread
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -178,20 +185,37 @@ def _fill_uniform(weight, bound, rng):
 
 
 def _in_parts(parts, run):
-    """run(k) for k in range(parts): part 0 on the calling thread, the
-    others on a thread pool that ends with the call. A part's exception is
-    re-raised here once every part has ended."""
+    """run(k) for k in range(parts): part 0 on the calling thread, each
+    other part on a thread of its own, all started before part 0 runs. Once
+    every part has ended, the first exception in part order is re-raised
+    here."""
     # One part starts no thread: with a pool thread for every layer of every
     # build, 5 of 8 perfbench train-300 runs kept about 96 MB more freed
     # heap resident.
     if parts == 1:
         run(0)
         return
-    with ThreadPoolExecutor(parts - 1) as pool:
-        rest = [pool.submit(run, k) for k in range(1, parts)]
+    errors = [None] * parts
+
+    def part(k):
+        try:
+            run(k)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors[k] = exc
+
+    # A thread per part: a pool hands a part to any idle thread, so one
+    # thread ran parts 1-3 when each ended before the next was submitted.
+    threads = [Thread(target=part, args=(k,)) for k in range(1, parts)]
+    for thread in threads:
+        thread.start()
+    try:
         run(0)
-        for future in rest:
-            future.result()
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 @functools.cache
@@ -345,11 +369,25 @@ class Conv2d(Layer):
         return gx[:, :, p : p + h, p : p + w] if p else gx
 
 
+def _running_max(views):
+    """The elementwise max of same-shaped views, taken in order as
+    np.maximum(later, earlier), which returns earlier on a tie: a +0.0 and
+    -0.0 tie keeps the earlier bits, and a NaN stays once it enters."""
+    if len(views) == 1:
+        return views[0].copy()
+    out = np.maximum(views[1], views[0])
+    for view in views[2:]:
+        np.maximum(view, out, out=out)
+    return out
+
+
 class MaxPool2d(Layer):
     """Per-window max over k x k windows that tile the input (stride k), with
     floor-mode output size; a NaN anywhere in a window makes that output NaN.
-    Ties go to the first element in the window's row-major scan, and backward
-    keeps one uint8 index of that tap per output."""
+    The max runs over each window row's k column taps, then over the
+    window's k rows. Ties go to the first element in the window's row-major
+    scan, and a forward asked for the index keeps one uint8 index of that
+    tap per output for backward."""
 
     def __init__(self, kernel=2, stride=2):
         """stride must equal kernel; the tap index is one byte, so k*k <= 256."""
@@ -369,25 +407,25 @@ class MaxPool2d(Layer):
             raise ValueError(f"input {h}x{w} smaller than pooling window {k}x{k}")
         return c, h // k, w // k
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, index=True):
+        """The pooled batch. With index true (the default) the tap index
+        backward reads goes to _cache; with index false, as a scoring
+        Network asks, no index is computed and _cache is left as it was."""
         _, hout, wout = self.out_shape(x.shape[1:])
-        taps = self._taps(x, hout, wout)
-        out = taps[0].copy()
-        nxt = np.empty_like(out)
-        rose = np.empty(out.shape, dtype=bool)
-        which = np.zeros(out.shape, dtype=np.uint8)
-        rose_q = np.empty_like(which)
-        for q, tap in enumerate(taps[1:], 1):
-            # np.maximum returns its second operand on a tie, so the running
-            # max keeps the first tap's bits when +0.0 and -0.0 tie
-            np.maximum(tap, out, out=nxt)
-            # the max rose or a NaN entered: the last such tap is the first
-            # match, and a NaN window's index is the last tap
-            np.not_equal(nxt, out, out=rose)
-            np.multiply(rose.view(np.uint8), q, out=rose_q)
-            np.maximum(which, rose_q, out=which)
-            out, nxt = nxt, out
-        self._cache = (x.shape, which)
+        k = self.kernel
+        rows = _running_max([x[:, :, : k * hout, j : k * wout : k] for j in range(k)])
+        out = _running_max([rows[:, :, i::k] for i in range(k)])
+        if index:
+            # the count of leading taps that miss the max: the first match's
+            # tap, and the last tap for a NaN window, which every tap misses
+            which = np.zeros(out.shape, dtype=np.uint8)
+            miss = np.ones(out.shape, dtype=bool)
+            hit = np.empty_like(miss)
+            for tap in self._taps(x, hout, wout)[:-1]:
+                np.not_equal(tap, out, out=hit)
+                miss &= hit
+                which += miss.view(np.uint8)
+            self._cache = (x.shape, which)
         return out
 
     def backward(self, grad_out):
@@ -626,6 +664,14 @@ def infer_shapes(config: NetworkConfig):
     return _build(config)[1]
 
 
+def _forward(layer, x, train):
+    """One layer's forward in a Network pass. A scoring pass asks each pool
+    for no tap index: only backward reads it."""
+    if not train and isinstance(layer, MaxPool2d):
+        return layer.forward(x, index=False)
+    return layer.forward(x, train=train)
+
+
 def _backward(layer, grad_out, first):
     """One layer's backward. The network's first layer computes no input
     gradient, and a first layer without parameters is skipped."""
@@ -692,12 +738,13 @@ class Network:
 
     def forward(self, x, train=False):
         """The logits of a batch. With train false (scoring) nothing is kept
-        for backward: no per-sample state, and no layer's _cache once the
-        forward returns; every layer runs on the calling thread. With train
-        true the conv blocks run as _per_sample sends them: each sample on
-        one worker thread, the calling thread on the block layers
-        themselves, and BLAS on one thread process-wide until they are all
-        done. The head then runs on the calling thread at BLAS's own count."""
+        for backward: no per-sample state, no pool's tap index, and no
+        layer's _cache once the forward returns; every layer runs on the
+        calling thread. With train true the conv blocks run as _per_sample
+        sends them: each sample on one worker thread, the calling thread on
+        the block layers themselves, and BLAS on one thread process-wide
+        until they are all done. The head then runs on the calling thread
+        at BLAS's own count."""
         x = np.asarray(x, dtype=self.dtype)
         if x.shape[1:] != tuple(self.config.input_shape):
             raise ValueError(
@@ -711,7 +758,7 @@ class Network:
             def step(blocks, n):
                 h = x[n : n + 1]
                 for i, layer in enumerate(blocks):
-                    h = layer.forward(h, train=train)
+                    h = _forward(layer, h, train)
                     if train:
                         self._caches[i][n] = layer._cache
                 outputs[n] = h
@@ -723,7 +770,7 @@ class Network:
                     step(self._blocks, n)
             x = np.concatenate(outputs)
         for layer in self.layers[len(self._blocks) :]:
-            x = layer.forward(x, train=train)
+            x = _forward(layer, x, train)
         if not train:
             for layer in self.layers:
                 layer._cache = None

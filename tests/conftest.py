@@ -3,8 +3,9 @@ evaluation of the quadratic time-frequency sum used as the independent oracle,
 the earlier full-lag form of pseudo_wvd kept as a reference, the all-rows
 hfft form of pseudo_wvd and the two-pass bilinear resize kept as a bitwise
 oracle for the row-selecting chain, the per-class report loop kept as the
-reference for the array report, the three-range decimate and the gain-array
-analytic signal kept as bitwise references for their one-path forms, a
+reference for the array report, the three-range decimate, the gain-array
+analytic signal and the running-max-with-rose-index max-pool kept as bitwise
+references for their one-path forms, a
 fixed-draws stand-in for a dropout rng, a checkpoint's bytes, a tracemalloc
 probe, and a fresh-interpreter runner, which can set the BLAS thread count,
 with a peak-RSS probe and a minor-fault counter built on it."""
@@ -209,6 +210,28 @@ def two_pass_resize_bilinear(image, out_rows, out_cols, work=None):
     time_axis = interp_1d(image.time_axis_s, rpos, axis=0)
     freq_axis = interp_1d(image.freq_axis_hz, cpos, axis=0)
     return TFDImage(values, time_axis, freq_axis, image.source_rate_hz, image.kind)
+
+
+def running_max_maxpool(x, k):
+    """MaxPool2d's forward as a running max over the k*k tap views in
+    row-major order, np.maximum(tap, max), with the uint8 tap index taking q
+    wherever the max rose or a NaN entered, as max(index, q * rose): the last
+    tap that raised the max is the first that matches it. Returns the output
+    and the index."""
+    hout, wout = x.shape[2] // k, x.shape[3] // k
+    taps = [x[:, :, i : k * hout : k, j : k * wout : k] for i in range(k) for j in range(k)]
+    out = taps[0].copy()
+    nxt = np.empty_like(out)
+    rose = np.empty(out.shape, dtype=bool)
+    which = np.zeros(out.shape, dtype=np.uint8)
+    rose_q = np.empty_like(which)
+    for q, tap in enumerate(taps[1:], 1):
+        np.maximum(tap, out, out=nxt)
+        np.not_equal(nxt, out, out=rose)
+        np.multiply(rose.view(np.uint8), q, out=rose_q)
+        np.maximum(which, rose_q, out=which)
+        out, nxt = nxt, out
+    return out, which
 
 
 def reference_report(true_labels, pred_labels, class_names):

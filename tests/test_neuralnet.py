@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import io
 import json
@@ -6,11 +7,13 @@ import struct
 import sys
 import textwrap
 import threading
+import time
 
 import numpy as np
 import pytest
 from conftest import (FixedDraws, assert_grads_close, checkpoint_bytes, minor_faults,
-                      numeric_gradient, peak_rss_growth, run_child, traced_memory)
+                      numeric_gradient, peak_rss_growth, run_child, running_max_maxpool,
+                      traced_memory)
 from numpy.lib.stride_tricks import as_strided
 
 from wvdnet import neuralnet
@@ -190,29 +193,54 @@ def reference_maxpool(x, k, s, grad_out=None):
     return out, gx.reshape(b, c, h, w)
 
 
-POOL_GEOMETRIES = [(2, 2, 75, 75), (2, 2, 7, 9), (3, 3, 10, 11)]
+POOL_GEOMETRIES = [(2, 2, 75, 75), (2, 2, 7, 9), (3, 3, 10, 11), (1, 1, 5, 6), (16, 16, 40, 35)]
 
 
 class TestMaxPool:
+    @pytest.mark.parametrize("index", [True, False])
     @pytest.mark.parametrize("gated", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k,s,h,w", POOL_GEOMETRIES)
-    def test_matches_window_copy_reference(self, k, s, h, w, dtype, gated):
+    def test_matches_window_copy_reference(self, k, s, h, w, dtype, gated, index):
         rng = np.random.default_rng(k * 100 + s * 10 + h)
         x = np.round(rng.standard_normal((2, 3, h, w)) * 2) / 2  # many equal maxima
         x = (x * (x > 0)).astype(dtype)  # relu output: ties among +0.0 and -0.0
         pool = MaxPool2d(k, s)
-        out = pool.forward(x)
+        pool._cache = earlier = ((2, 3, h, w), None)  # an earlier forward's
+        out = pool.forward(x, index=index)
         grad_out = rng.standard_normal(out.shape).astype(dtype)
         if gated:  # as ReLU backward passes it: -0.0 where a negative gradient is gated
             grad_out *= rng.random(out.shape) < 0.5
             assert np.signbit(grad_out[grad_out == 0]).any()
-        grad_in = pool.backward(grad_out)
         ref_out, ref_grad = reference_maxpool(x, k, s, grad_out)
         assert out.dtype == ref_out.dtype and out.shape == ref_out.shape
         assert out.tobytes() == ref_out.tobytes()
+        if not index:  # no index computed, and the earlier forward's state kept
+            assert pool._cache is earlier
+            return
+        grad_in = pool.backward(grad_out)
         assert grad_in.dtype == ref_grad.dtype and grad_in.shape == ref_grad.shape
         assert grad_in.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_bitwise_equal_to_running_max_with_rose_index(self, k, dtype):
+        rng = np.random.default_rng(k)
+        nan = np.array([np.nan, -np.nan], dtype=dtype)
+        bits = nan.view(f"u{nan.itemsize}")
+        nans = np.concatenate([nan, (bits | 1).view(dtype), (bits | 2).view(dtype)])
+        values = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, *nans], dtype=dtype)
+        weights = np.array([30, 30, 15, 15, 0.5, 0.5] + [0.1] * len(nans))
+        x = rng.choice(values, size=(2, 4, 3 * k + 1, 3 * k + 2), p=weights / weights.sum())
+        x[:, 1] = np.minimum(x[:, 1], 0)  # windows whose max is a signed zero
+        x[:, 2] = np.where(np.isnan(x[:, 2]), 0, x[:, 2])  # no NaN
+        pool = MaxPool2d(k, k)
+        out = pool.forward(x)
+        want_out, want_which = running_max_maxpool(x, k)
+        assert np.isnan(out).any() and not np.isnan(out[:, 2]).any()
+        assert out.tobytes() == want_out.tobytes()
+        assert pool._cache[1].tobytes() == want_which.tobytes()
+        assert pool.forward(x, index=False).tobytes() == out.tobytes()
 
     # overlapping (stride < kernel) and gapped (stride > kernel) windows
     @pytest.mark.parametrize("k,s", [(3, 2), (2, 1), (2, 3)])
@@ -409,6 +437,24 @@ class TestWeightInit:
         Linear(1000, 7, rng=np.random.default_rng(0))
         assert threading.active_count() == before
 
+    def test_every_part_runs_on_a_thread_of_its_own(self, monkeypatch):
+        # a pool hands a part to any idle thread: with each submit slowed,
+        # one pool thread ran parts 1-3
+        submit = concurrent.futures.ThreadPoolExecutor.submit
+
+        def slow_submit(pool, *args, **kwargs):
+            future = submit(pool, *args, **kwargs)
+            time.sleep(0.05)
+            return future
+
+        monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", slow_submit)
+        ran = {}
+        neuralnet._in_parts(4, lambda k: ran.setdefault(k, threading.current_thread()))
+        caller = threading.current_thread()
+        assert ran[0] is caller
+        others = [ran[k] for k in (1, 2, 3)]
+        assert caller not in others and len(set(others)) == 3
+
     def test_part_exception_reaches_caller(self, monkeypatch):
         parts_of(monkeypatch, 4, chunk=1024)
 
@@ -428,8 +474,8 @@ class TestWeightInit:
         parts_of(monkeypatch, cores)
         width = 2 * neuralnet._INIT_CHUNK + 3
         _, peak = traced_memory(lambda: Linear(width, 3, rng=np.random.default_rng(1)))
-        # besides the float32 weight and the float64 buffers: threads,
-        # futures and stream copies
+        # besides the float32 weight and the float64 buffers: threads and
+        # stream copies
         scratch = peak - 3 * width * 4 - (64 << 10)
         assert scratch <= 8 * neuralnet._INIT_CHUNK, f"{scratch} bytes of scratch"
 
@@ -972,10 +1018,10 @@ class TestTrainingThreads:
         threaded = train_step_grads(nets[0], images, labels)
         monkeypatch.setattr(neuralnet, "_blas_threads", lambda: None)
 
-        def no_pool(*args):
-            raise AssertionError("the pass started a thread pool")
+        def no_thread(*args, **kwargs):
+            raise AssertionError("the pass started a thread")
 
-        monkeypatch.setattr(neuralnet, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(neuralnet, "Thread", no_thread)
         threads = conv_threads(monkeypatch)
         assert train_step_grads(nets[1], images, labels) == threaded
         assert threads == dict.fromkeys(range(7), threading.get_ident())
@@ -1191,6 +1237,24 @@ class TestPredict:
         with pytest.raises(ValueError, match=rf"input shape {re.escape(str(seen))} does not "
                                              r"match network input \(1, 16, 16\)"):
             predict(net, np.ones(shape, dtype=np.float32))
+
+    def test_scoring_pools_compute_no_tap_index(self):
+        net = Network(reference_config((1, 24, 24), 3, seed=9))
+        images = np.random.default_rng(9).standard_normal((5, 1, 24, 24)).astype(np.float32)
+        pools = [layer for layer in net.layers if isinstance(layer, MaxPool2d)]
+        calls = []
+        for pool in pools:  # a per-instance wrapper, as perfbench's tracer sets
+            def traced(x, forward=pool.forward, pool=pool, **kwargs):
+                calls.append((pool, kwargs.get("index", True)))
+                return forward(x, **kwargs)
+
+            pool.forward = traced
+        labels, probs = predict(net, images)
+        assert calls == [(pool, False) for _ in range(5) for pool in pools]
+        for pool in pools:  # the same pass with each pool's index computed
+            pool.forward = lambda x, pool=pool, **kwargs: MaxPool2d.forward(pool, x, index=True)
+        forced = predict(net, images)
+        assert labels.tobytes() == forced[0].tobytes() and probs.tobytes() == forced[1].tobytes()
 
     def test_non_finite_logits_rejected(self):
         # argmax reads NaN logits as class 0
