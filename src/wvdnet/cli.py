@@ -3,7 +3,8 @@
 Subcommands: preprocess, synth, train, evaluate, stream, export. Every run
 configuration key is available as a flag; `--config FILE` loads a flat
 `key = value` file, and flags override file values. Exit codes: 0 success,
-1 usage/config error, 2 data error, 3 internal error.
+1 usage/config error, 2 data or value error (DataError is a ValueError),
+3 internal error.
 """
 
 from __future__ import annotations
@@ -236,7 +237,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

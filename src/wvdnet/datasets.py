@@ -329,7 +329,7 @@ def _preprocess_clip(cfg: RunConfig, clip_path: str, out_file: str, work: dict):
         image = clip_to_image(signal, cfg, work=work)
         atomic_write_bytes(out_file, image.values.astype("<f4").tobytes())
         return signal.sample_rate_hz
-    except (DataError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return str(exc)
 
 
@@ -439,25 +439,28 @@ def _check_fields(where: str, entry, fields: dict) -> None:
 
 
 def is_store_current(manifest: DatasetManifest, cfg: RunConfig, out_dir: str | Path) -> bool:
-    """True when the store matches this manifest + config and is complete."""
+    """True when the store matches this manifest + config and is complete:
+    each stored clip keeps the label and fold of the record its array is
+    named after."""
     out_dir = Path(out_dir)
     if not (out_dir / "index.csv").is_file():
         return False
     try:
         meta = _read_store_meta(out_dir)
-    except (ValueError, DataError):  # missing, unparsable or malformed: rebuild
+    except ValueError:  # missing, unparsable or malformed: rebuild
         return False
     if meta["config_hash"] != config_hash(cfg):
         return False
     if meta["class_names"] != list(manifest.class_names):
         return False
-    expected = {
-        f"arrays/{_array_filename(i, rec.path)}" for i, rec in enumerate(manifest.records)
-    }
+    expected = {f"arrays/{_array_filename(i, rec.path)}": (rec.label, rec.fold)
+                for i, rec in enumerate(manifest.records)}
     skipped_file = out_dir / "skipped.txt"
     n_skipped = len(skipped_file.read_text().splitlines()) if skipped_file.is_file() else 0
-    stored = {clip["file"] for clip in meta["clips"]}
-    if len(stored) + n_skipped != len(expected) or not stored <= expected:
+    stored = {clip["file"]: (clip["label"], clip["fold"]) for clip in meta["clips"]}
+    if len(stored) + n_skipped != len(expected) or any(
+        expected.get(name) != label_fold for name, label_fold in stored.items()
+    ):
         return False
     return all((out_dir / f).is_file() for f in stored)
 

@@ -1,8 +1,7 @@
 """Error categories shared across the package.
 
-ValueError stays the exception of choice for contract violations inside the
-numeric code; these classes exist so the CLI can map failures onto distinct
-exit codes.
+The CLI maps each onto an exit code: ConfigError to 1, and a ValueError,
+DataError included, or an OSError to 2.
 """
 
 
@@ -10,5 +9,5 @@ class ConfigError(Exception):
     """Bad configuration: unknown keys, unparsable values, bad flag combinations."""
 
 
-class DataError(Exception):
+class DataError(ValueError):
     """Bad input data: undecodable audio, malformed manifests, missing files."""

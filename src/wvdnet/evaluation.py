@@ -36,13 +36,16 @@ class EvalReport:
 
 
 def compute_report(true_labels, pred_labels, class_names) -> EvalReport:
-    """Build the full report from parallel true/predicted label arrays."""
-    true_labels = np.asarray(true_labels, dtype=int)
-    pred_labels = np.asarray(pred_labels, dtype=int)
+    """Build the full report from parallel true/predicted integer label arrays."""
+    true_labels = np.asarray(true_labels)
+    pred_labels = np.asarray(pred_labels)
     if true_labels.shape != pred_labels.shape or true_labels.ndim != 1:
         raise ValueError("true and predicted labels must be equal-length 1D arrays")
     if len(true_labels) == 0:
         raise ValueError("cannot score an empty evaluation set")
+    for what, labels in (("true", true_labels), ("predicted", pred_labels)):
+        if labels.dtype.kind not in "iu":  # a cast would score 0.7 + k as k
+            raise ValueError(f"{what} labels are {labels.dtype}, need integers")
     k = len(class_names)
     if true_labels.max() >= k or pred_labels.max() >= k or true_labels.min() < 0 or pred_labels.min() < 0:
         raise ValueError(f"labels out of range for {k} classes")

@@ -186,15 +186,9 @@ def _fill_uniform(weight, bound, rng):
 
 def _in_parts(parts, run):
     """run(k) for k in range(parts): part 0 on the calling thread, each
-    other part on a thread of its own, all started before part 0 runs. Once
-    every part has ended, the first exception in part order is re-raised
-    here."""
-    # One part starts no thread: with a pool thread for every layer of every
-    # build, 5 of 8 perfbench train-300 runs kept about 96 MB more freed
-    # heap resident.
-    if parts == 1:
-        run(0)
-        return
+    other part on a thread of its own, all started before part 0 runs, so
+    one part starts no thread. Once every part has ended, the first
+    exception in part order is re-raised here."""
     errors = [None] * parts
 
     def part(k):
@@ -291,10 +285,11 @@ class Conv2d(Layer):
 
     def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, dtype=np.float32, rng=None,
                  draw=True):
-        """Weights as _init_params draws them."""
+        """A square kernel x kernel filter, held as kh = kw = kernel;
+        weights as _init_params draws them."""
         self.in_ch = in_ch
         self.out_ch = out_ch
-        self.kh, self.kw = (kernel, kernel) if isinstance(kernel, int) else tuple(kernel)
+        self.kh = self.kw = kernel
         self.stride = stride
         self.padding = padding
         _init_params(self, (out_ch, in_ch, self.kh, self.kw), dtype, rng, draw)
@@ -543,6 +538,8 @@ def softmax_cross_entropy(logits, labels):
     if labels.shape != (b,):  # (B, 1) labels would broadcast to a (B, B) loss
         raise ValueError(f"labels for {b} rows of logits must have shape ({b},), "
                          f"got {labels.shape}")
+    if labels.dtype.kind not in "iu":  # a bool or 0.7 is no class index
+        raise ValueError(f"labels are {labels.dtype}, need integers")
     bad = labels[(labels < 0) | (labels >= k)]
     if len(bad):
         raise ValueError(f"label {bad[0]} out of range for {k} classes")
@@ -985,9 +982,11 @@ def train(
 
 
 def _names_fit(class_names, num_classes: int) -> bool:
-    """A checkpoint's class names: a list of str naming none or every class."""
+    """A checkpoint's class names: a list of distinct str naming none or
+    every class."""
     return (isinstance(class_names, list) and len(class_names) in (0, num_classes)
-            and all(isinstance(name, str) for name in class_names))
+            and all(isinstance(name, str) for name in class_names)
+            and len(set(class_names)) == len(class_names))
 
 
 def _check_finite(tensor, what):
@@ -1015,7 +1014,8 @@ def save_checkpoint(net: Network, file, class_names=None) -> None:
     ioutil.atomic_writer, which then leaves no file behind."""
     class_names = list(class_names or [])
     if not _names_fit(class_names, net.config.num_classes):
-        raise ValueError(f"class_names must be 0 or {net.config.num_classes} strings")
+        raise ValueError(f"class_names must be 0 or {net.config.num_classes} strings, "
+                         "no two alike")
     header = {"network": net.config.to_dict(), "class_names": class_names}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     params = net.param_arrays()
@@ -1059,7 +1059,7 @@ def load_checkpoint(file):
     if not _names_fit(class_names, net.config.num_classes):
         raise ValueError(
             f"malformed checkpoint header: 'class_names' is not 0 or "
-            f"{net.config.num_classes} strings"
+            f"{net.config.num_classes} strings, no two alike"
         )
     params = net.param_arrays()
     (count,) = struct.unpack("<I", read(4, "parameter count"))

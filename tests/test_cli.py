@@ -1,4 +1,5 @@
 import json
+import shutil
 import struct
 import wave
 
@@ -12,7 +13,7 @@ from wvdnet.errors import ConfigError
 from wvdnet.datasets import decode_wav, write_wav_pcm16
 from wvdnet.evaluation import StreamPrediction, majority_vote
 from wvdnet.neuralnet import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Network, load_checkpoint,
-                              reference_config)
+                              reference_config, save_checkpoint)
 from wvdnet.tfd import image_from_csv
 
 BASE_FLAGS = [
@@ -108,6 +109,11 @@ class TestPreprocessCommand:
         assert "up to date" not in capsys.readouterr().out
         assert (tmp_path / "store.json").read_bytes() == good
 
+    def test_no_dataset_root_exits_1(self, tmp_path, capsys):
+        assert main(["preprocess", "--out", str(tmp_path / "store")]) == 1
+        assert "preprocess needs dataset_root" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()
+
     def test_missing_root_exits_2_without_partial_index(self, tmp_path):
         out = tmp_path / "store"
         code = main([
@@ -149,6 +155,25 @@ class TestTrainCommand:
 
     def test_missing_store_exits_2(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "empty")] + BASE_FLAGS) == 2
+
+    # a store whose clips are all gone, and one whose clips all sit in the
+    # fold that --test-fold leaves out
+    @pytest.mark.parametrize("case, flags, message", [
+        ("no clips", [], "holds no clips"),
+        ("one fold", ["--test-fold", "1"], "training split is empty"),
+    ])
+    def test_nothing_to_train_on_exits_2(self, workspace, tmp_path, capsys, case, flags,
+                                         message):
+        meta = json.loads((workspace["store"] / "store.json").read_text())
+        if case == "no clips":
+            meta["clips"] = []
+        for clip in meta["clips"]:
+            clip["fold"] = 1
+        shutil.copytree(workspace["store"] / "arrays", tmp_path / "arrays")
+        (tmp_path / "store.json").write_text(json.dumps(meta))
+        assert main(["train", "--out", str(tmp_path)] + BASE_FLAGS + flags) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "model.wvdn").exists()
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     @pytest.mark.parametrize("field, value", [("label", 7), ("label", True), ("fold", 0)])
@@ -256,6 +281,25 @@ class TestStreamCommand:
         assert len(lines) == 8  # header + floor((10-4)/1)+1 windows
         starts = [float(l.split(",")[0]) for l in lines[1:]]
         assert starts == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+    def test_checkpoint_without_class_names_names_classes_by_index(self, workspace, tmp_path):
+        with open(workspace["store"] / "model.wvdn", "rb") as handle:
+            net, _ = load_checkpoint(handle)
+        ckpt = tmp_path / "unnamed.wvdn"
+        with open(ckpt, "wb") as handle:
+            save_checkpoint(net, handle)
+        rate = 4000.0
+        wav = tmp_path / "long.wav"
+        write_wav_pcm16(wav, np.random.default_rng(3).uniform(-0.5, 0.5, round(7 * rate)), rate)
+        out_csv = tmp_path / "stream.csv"
+        assert main(["stream", str(wav), "--out", str(workspace["store"]), "--checkpoint",
+                     str(ckpt), "--output", str(out_csv)] + BASE_FLAGS) == 0
+        lines = out_csv.read_text().splitlines()
+        assert lines[0] == "start_s,end_s,pred_class,pred_name,p0,p1,p2"
+        assert len(lines) == 5
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert fields[3] == fields[2] and fields[2] in ("0", "1", "2"), line
 
     def test_vote_windows_relabels_by_majority_and_keeps_probabilities(self, workspace,
                                                                          tmp_path):

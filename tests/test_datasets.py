@@ -25,17 +25,25 @@ from wvdnet.datasets import (
 from wvdnet.errors import ConfigError, DataError
 
 
-def wav_bytes(payload, fmt_tag=1, channels=1, rate=8000, bits=16, chunks_before_data=()):
-    fmt = struct.pack(
-        "<HHIIHH", fmt_tag, channels, rate, rate * channels * bits // 8,
-        channels * bits // 8, bits,
-    )
+def riff(chunks, form=b"WAVE"):
+    """RIFF bytes holding the (tag, data) chunks in order, each padded to even size."""
     body = b""
-    for tag, data in [(b"fmt ", fmt)] + list(chunks_before_data) + [(b"data", payload)]:
+    for tag, data in chunks:
         body += tag + struct.pack("<I", len(data)) + data
         if len(data) % 2:
             body += b"\x00"
-    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + form + body
+
+
+def fmt_chunk(fmt_tag=1, channels=1, rate=8000, bits=16, block_align=None):
+    if block_align is None:
+        block_align = channels * bits // 8
+    return struct.pack("<HHIIHH", fmt_tag, channels, rate, rate * block_align, block_align, bits)
+
+
+def wav_bytes(payload, fmt_tag=1, channels=1, rate=8000, bits=16, chunks_before_data=()):
+    return riff([(b"fmt ", fmt_chunk(fmt_tag, channels, rate, bits))]
+                + list(chunks_before_data) + [(b"data", payload)])
 
 
 def pcm16(*values):
@@ -171,6 +179,17 @@ REJECTED_HEADERS = {
     "pcm24": (wav_bytes(b"\x00" * 6, bits=24), "bit depth 24"),
     "format-tag-2": (wav_bytes(pcm16(1, 2), fmt_tag=2), "audio format tag 2.*'fmt '"),
     "data-overruns-file": (wav_bytes(pcm16(1, 2, 3))[:-2], "truncated 'data' chunk"),
+    "truncated-riff-header": (b"RIFF\x04\x00\x00\x00WA", "truncated RIFF header"),
+    "riff-not-wave": (riff([(b"data", pcm16(1))], form=b"AVI "), "RIFF file is not WAVE"),
+    "short-fmt": (riff([(b"fmt ", fmt_chunk()[:14]), (b"data", pcm16(1))]),
+                  "'fmt ' chunk too short"),
+    "missing-fmt": (riff([(b"data", pcm16(1))]), "missing 'fmt ' chunk"),
+    "zero-channels": (wav_bytes(pcm16(1), channels=0), "declares zero channels"),
+    "zero-rate": (wav_bytes(pcm16(1), rate=0), "non-positive sample rate"),
+    "block-align-contradicts": (riff([(b"fmt ", fmt_chunk(block_align=4)),
+                                      (b"data", pcm16(1, 2))]),
+                                "block alignment contradicts its sample layout"),
+    "no-whole-frame": (wav_bytes(b"\x01"), "'data' chunk holds no complete frames"),
 }
 
 
@@ -400,6 +419,29 @@ class TestEsc50Manifest:
             handle.write("x.wav,1\n")
         with pytest.raises(DataError, match="row 3: missing value for target"):
             load_manifest(tmp_path, "esc50")
+
+
+# (UrbanSound8K rows, or None for no metadata CSV; source; the error's text)
+REJECTED_MANIFESTS = {
+    "missing-csv": (None, "urbansound8k", "metadata CSV not found: .*UrbanSound8K.csv"),
+    "class-id-not-int": ([("a.wav", 1, "x", "dog", True)], "urbansound8k",
+                         "row 2: classID 'x' is not an integer"),
+    "id-with-two-names": ([("a.wav", 1, 3, "dog", True), ("b.wav", 1, 3, "cat", True)],
+                          "urbansound8k", "row 3: classID 3 maps to both 'dog' and 'cat'"),
+    "fold-not-int": ([("a.wav", "x", 3, "dog", False)], "urbansound8k",
+                     "row 2: fold 'x' is not an integer"),
+    "unknown-source": ([("a.wav", 1, 3, "dog", True)], "freesound",
+                       "unknown dataset source kind 'freesound'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_MANIFESTS))
+def test_load_manifest_rejects(tmp_path, name):
+    rows, source, message = REJECTED_MANIFESTS[name]
+    if rows is not None:
+        make_urbansound_layout(tmp_path, rows)
+    with pytest.raises(DataError, match=message):
+        load_manifest(tmp_path, source)
 
 
 def toy_labels(per_class=10, classes=3, with_folds=False):
@@ -634,12 +676,50 @@ class TestPreprocess:
         cfg = build_config({}, SMALL_CFG)
         out = tmp_path / "store"
         preprocess_dataset(manifest, cfg, out)
-        meta = json.loads((out / "store.json").read_text())
-        for clip in meta["clips"]:  # folder_per_class leaves folds null
-            clip["fold"] = 1
-        (out / "store.json").write_text(json.dumps(meta))
         assert is_store_current(manifest, cfg, out)
+        meta = json.loads((out / "store.json").read_text())
         meta["clips"][0][field] = value
+        (out / "store.json").write_text(json.dumps(meta))
+        assert not is_store_current(manifest, cfg, out)
+
+    # An ESC-50 tree of 2 classes x 2 clips, in folds 1-4; each edit keeps
+    # the clips' file names, so the array names stay the same.
+    CSV_EDITS = {
+        "refold": [("1-0-0.wav,1,", "1-0-0.wav,2,"), ("2-0-1.wav,2,", "2-0-1.wav,1,")],
+        "relabel": [("2-0-1.wav,2,0,class_0", "2-0-1.wav,2,1,class_1")],
+        "renamed class": [(",class_0\n", ",class_zero\n")],
+    }
+
+    @pytest.mark.parametrize("edit", sorted(CSV_EDITS))
+    def test_edited_metadata_csv_is_not_current(self, tmp_path, edit):
+        root = tmp_path / "esc"
+        make_esc50_layout(root, n_classes=2, clips_per_class=2)
+        cfg = build_config({}, dict(SMALL_CFG, source="esc50"))
+        out = tmp_path / "store"
+        preprocess_dataset(load_manifest(root, "esc50"), cfg, out)
+        assert is_store_current(load_manifest(root, "esc50"), cfg, out)
+        csv_path = root / "meta" / "esc50.csv"
+        text = csv_path.read_text()
+        for old, new in self.CSV_EDITS[edit]:
+            assert old in text
+            text = text.replace(old, new)
+        csv_path.write_text(text)
+        edited = load_manifest(root, "esc50")
+        assert len(edited) == 4
+        assert not is_store_current(edited, cfg, out)
+        preprocess_dataset(edited, cfg, out)
+        assert is_store_current(edited, cfg, out)
+
+    def test_stored_file_the_manifest_does_not_name_is_not_current(self, tmp_path):
+        root = tmp_path / "data"
+        make_folder_dataset(root, {"a": 2})
+        manifest = load_manifest(root, "folder_per_class")
+        cfg = build_config({}, SMALL_CFG)
+        out = tmp_path / "store"
+        preprocess_dataset(manifest, cfg, out)
+        meta = json.loads((out / "store.json").read_text())
+        (out / meta["clips"][0]["file"]).rename(out / "arrays" / "99999_stray.f32")
+        meta["clips"][0]["file"] = "arrays/99999_stray.f32"
         (out / "store.json").write_text(json.dumps(meta))
         assert not is_store_current(manifest, cfg, out)
 

@@ -87,6 +87,22 @@ class TestComputeReport:
         with pytest.raises(ValueError, match="empty"):
             compute_report([], [], ("a",))
 
+    @pytest.mark.parametrize("true, pred", [([0, 1, 1], [0, 1]), ([[0, 1]], [[0, 1]])],
+                             ids=["lengths", "2d"])
+    def test_labels_of_other_shapes_rejected(self, true, pred):
+        with pytest.raises(ValueError, match="equal-length 1D arrays"):
+            compute_report(true, pred, ("a", "b"))
+
+    # a cast to int once scored [0.7, 1.9] against [0, 1] as accuracy 1.0
+    @pytest.mark.parametrize("true, pred, message", [
+        ([0.7, 1.9], [0, 1], "true labels are float64, need integers"),
+        ([0, 1], [0.0, 1.0], "predicted labels are float64, need integers"),
+        ([False, True], [0, 1], "true labels are bool, need integers"),
+    ])
+    def test_labels_that_are_not_integers_rejected(self, true, pred, message):
+        with pytest.raises(ValueError, match=message):
+            compute_report(true, pred, ("a", "b"))
+
 
 class TestReportRendering:
     def build_ten_class_report(self):
@@ -191,6 +207,12 @@ class TestStreamWindows:
         net = Network(reference_config((1, 16, 16), 2, seed=2))
         with pytest.raises(ValueError, match="needs 1.000 s"):
             stream_infer(net, Signal(np.zeros(1500), 2000.0), cfg)
+
+    def test_window_under_two_samples_rejected(self):
+        cfg = build_config({}, dict(window_seconds=0.0012))  # one sample at 1 kHz
+        net = Network(reference_config((1, 16, 16), 2, seed=2))
+        with pytest.raises(ValueError, match="window and stride must span at least a few"):
+            stream_infer(net, Signal(np.zeros(100), 1000.0), cfg)
 
     def test_csv_format(self):
         preds = [

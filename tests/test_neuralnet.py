@@ -530,6 +530,12 @@ class TestSoftmaxCrossEntropy:
         assert grad.dtype == np.float64
         np.testing.assert_allclose(grad, [1 / 3, -2 / 3, 1 / 3])
 
+    @pytest.mark.parametrize("labels, dtype", [([0.7, 1.9], "float64"), ([True, False], "bool")])
+    def test_labels_that_are_not_integers_rejected(self, labels, dtype):
+        # a float label once indexed the logits and raised IndexError
+        with pytest.raises(ValueError, match=f"labels are {dtype}, need integers"):
+            softmax_cross_entropy(np.zeros((2, 3)), np.array(labels))
+
     def test_label_count_must_match_batch(self):
         with pytest.raises(ValueError, match="labels for"):
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0]))
@@ -1308,6 +1314,35 @@ class TestCheckpoint:
             save_checkpoint(Network(small_config()), buffer, names)
         assert buffer.getvalue() == b""  # refused before a byte is written
 
+    def test_save_refuses_repeated_class_names(self):
+        buffer = io.BytesIO()
+        with pytest.raises(ValueError, match="class_names must be 0 or 3 strings, no two alike"):
+            save_checkpoint(Network(small_config()), buffer, ["x", "x", "y"])
+        assert buffer.getvalue() == b""
+
+    def test_load_refuses_repeated_class_names(self):
+        net = Network(small_config())
+        blob = checkpoint_bytes(net, ["x", "y", "z"])
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        body = blob[12 : 12 + hlen].replace(b'"z"', b'"x"')
+        with pytest.raises(ValueError, match="malformed checkpoint header: 'class_names' is "
+                                             "not 0 or 3 strings, no two alike"):
+            load_checkpoint(io.BytesIO(blob[:12] + body + blob[12 + hlen :]))
+
+    # a tensor count of 99, then the first tensor's first dim (conv1's out
+    # channels, 16) as 17
+    @pytest.mark.parametrize("offset, value, message", [
+        (0, 99, "checkpoint has 99 tensors, network needs 10"),
+        (8, 17, r"checkpoint tensor shape \(17, 1, 3, 3\) does not match \(16, 1, 3, 3\)"),
+    ], ids=["count", "shape"])
+    def test_tensor_layout_mismatch_rejected(self, offset, value, message):
+        blob = bytearray(checkpoint_bytes(Network(small_config())))
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        pos = 12 + hlen + offset  # the count, then the first rank and dims
+        blob[pos : pos + 4] = struct.pack("<I", value)
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(io.BytesIO(blob))
+
     def test_bytes_are_pinned(self):
         blob = checkpoint_bytes(Network(small_config(seed=0)), ["a", "b", "c"])
         assert hashlib.sha256(blob).hexdigest() == (
@@ -1490,6 +1525,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError) as direct:
             layer.forward(np.zeros((2, *x_shape), dtype=np.float32))
         assert str(chained.value) == f"layer {index}: {direct.value}"
+
+    def test_unknown_layer_type_rejected(self):
+        with pytest.raises(ValueError, match="layer 1: unknown layer type 'softmax'"):
+            infer_shapes(NetworkConfig(({"type": "flatten"}, {"type": "softmax"}), (3,), 3))
 
     def test_empty_layer_list_rejected(self):
         with pytest.raises(ValueError, match="at least one layer"):
