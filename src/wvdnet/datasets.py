@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import struct
 import wave
 from concurrent.futures import ProcessPoolExecutor
@@ -30,7 +29,7 @@ import numpy as np
 
 from .config import RunConfig, config_hash
 from .errors import ConfigError, DataError
-from .ioutil import atomic_write_bytes, atomic_write_text
+from .ioutil import atomic_write_bytes, atomic_write_text, csv_text
 from .pipeline import clip_to_image, working_rate_hz
 from .signal_core import Signal, average_channels
 
@@ -320,14 +319,16 @@ def _array_filename(index: int, clip_path: str) -> str:
     return f"{index:05d}_{Path(clip_path).stem}.f32"
 
 
-def _preprocess_clip(cfg: RunConfig, clip_path: str, out_file: str, work: dict):
-    """Read one clip, run the pipeline in work, write its array file.
+def _preprocess_clip(cfg: RunConfig, clip_path: str, out_file: str | None, work: dict):
+    """Read one clip, run the pipeline in work, write its array file (none
+    when out_file is None, as a check of a skipped clip runs it).
 
     Returns the clip's source rate, or the reason it was skipped (a str)."""
     try:
         signal = read_wav(clip_path)
         image = clip_to_image(signal, cfg, work=work)
-        atomic_write_bytes(out_file, image.values.astype("<f4").tobytes())
+        if out_file is not None:
+            atomic_write_bytes(out_file, image.values.astype("<f4").tobytes())
         return signal.sample_rate_hz
     except (OSError, ValueError) as exc:
         return str(exc)
@@ -393,11 +394,9 @@ def preprocess_dataset(
     }
     atomic_write_text(out_dir / "skipped.txt", "".join(line + "\n" for line in skipped))
     atomic_write_text(out_dir / "store.json", json.dumps(meta, sort_keys=True, indent=1) + "\n")
-    index_lines = ["file,label,fold"]
-    for name, rec, _ in kept:
-        fold = "" if rec.fold is None else str(rec.fold)
-        index_lines.append(f"arrays/{name},{rec.label},{fold}")
-    atomic_write_text(out_dir / "index.csv", "".join(line + "\n" for line in index_lines))
+    index = [[f"arrays/{name}", rec.label, "" if rec.fold is None else rec.fold]
+             for name, rec, _ in kept]
+    atomic_write_text(out_dir / "index.csv", csv_text([["file", "label", "fold"], *index]))
     return {"written": len(kept), "skipped": len(skipped)}
 
 
@@ -409,8 +408,9 @@ _CLIP_FIELDS = {"file": str, "label": int, "fold": (int, type(None))}
 def _read_store_meta(out_dir: Path) -> dict:
     """Parse out_dir's store.json; DataError unless it and each of its clips is
     a JSON object holding every field load_store reads, with a value of its
-    type, and its class names and each clip's label and fold pass the
-    manifest's rules."""
+    type, its image dimensions are ints of at least 2 (as a config's are),
+    and its class names and each clip's label and fold pass the manifest's
+    rules."""
     store_path = out_dir / "store.json"
     if not store_path.is_file():
         raise DataError(f"no preprocessed store at {out_dir} (missing store.json)")
@@ -419,6 +419,9 @@ def _read_store_meta(out_dir: Path) -> dict:
     except ValueError as exc:  # undecodable text or not JSON
         raise DataError(f"malformed store.json at {out_dir}: not JSON: {exc}") from None
     _check_fields("the top level", meta, _STORE_FIELDS)
+    for key in ("image_rows", "image_cols"):
+        if not (_is_int(meta[key]) and meta[key] >= 2):
+            raise DataError(f"malformed store.json: {key!r} is {meta[key]!r}, need an int >= 2")
     fault = _class_names_fault(meta["class_names"])
     if fault:
         raise DataError(f"malformed store.json: {fault}")
@@ -441,7 +444,8 @@ def _check_fields(where: str, entry, fields: dict) -> None:
 def is_store_current(manifest: DatasetManifest, cfg: RunConfig, out_dir: str | Path) -> bool:
     """True when the store matches this manifest + config and is complete:
     each stored clip keeps the label and fold of the record its array is
-    named after."""
+    named after, and each clip left out still fails, reading and running the
+    chain again with no array written, with the reason skipped.txt gives."""
     out_dir = Path(out_dir)
     if not (out_dir / "index.csv").is_file():
         return False
@@ -453,14 +457,17 @@ def is_store_current(manifest: DatasetManifest, cfg: RunConfig, out_dir: str | P
         return False
     if meta["class_names"] != list(manifest.class_names):
         return False
-    expected = {f"arrays/{_array_filename(i, rec.path)}": (rec.label, rec.fold)
+    expected = {f"arrays/{_array_filename(i, rec.path)}": rec
                 for i, rec in enumerate(manifest.records)}
-    skipped_file = out_dir / "skipped.txt"
-    n_skipped = len(skipped_file.read_text().splitlines()) if skipped_file.is_file() else 0
     stored = {clip["file"]: (clip["label"], clip["fold"]) for clip in meta["clips"]}
-    if len(stored) + n_skipped != len(expected) or any(
-        expected.get(name) != label_fold for name, label_fold in stored.items()
-    ):
+    if any(name not in expected or (expected[name].label, expected[name].fold) != label_fold
+           for name, label_fold in stored.items()):
+        return False
+    skipped_file = out_dir / "skipped.txt"
+    recorded = skipped_file.read_text().splitlines() if skipped_file.is_file() else []
+    work = {}  # a repaired clip now gives its source rate, not the reason recorded
+    if recorded != [f"{rec.path}: {_preprocess_clip(cfg, rec.path, None, work)}"
+                    for name, rec in expected.items() if name not in stored]:
         return False
     return all((out_dir / f).is_file() for f in stored)
 
@@ -482,20 +489,23 @@ class ArrayStore:
 def load_store(out_dir: str | Path) -> ArrayStore:
     """Read a store back into one [N, 1, rows, cols] float32 array, each
     clip's little-endian file straight into its row, with no further copy.
-    An image that holds an inf or NaN raises DataError."""
+    Every file's size is checked against the dimensions store.json gives
+    before the array is allocated. An image that holds an inf or NaN raises
+    DataError."""
     out_dir = Path(out_dir)
     meta = _read_store_meta(out_dir)
     rows, cols = meta["image_rows"], meta["image_cols"]
     clips = meta["clips"]
+    for clip in clips:
+        size = (out_dir / clip["file"]).stat().st_size
+        if size != rows * cols * 4:
+            raise DataError(f"{clip['file']}: expected {rows * cols} float32 values "
+                            f"({rows * cols * 4} bytes), found {size} bytes")
     images = np.empty((len(clips), 1, rows, cols), dtype=np.float32)
     for row, clip in zip(images, clips):
         with open(out_dir / clip["file"], "rb") as handle:
-            size = os.fstat(handle.fileno()).st_size
-            if size != row.nbytes or handle.readinto(row.data.cast("B")) != size:
-                raise DataError(
-                    f"{clip['file']}: expected {rows * cols} float32 values "
-                    f"({row.nbytes} bytes), found {size} bytes"
-                )
+            if handle.readinto(row.data.cast("B")) != row.nbytes:
+                raise DataError(f"{clip['file']}: shrank below {row.nbytes} bytes while read")
         if not np.little_endian:  # the files are little-endian
             row.byteswap(inplace=True)
         if not np.isfinite(row).all():

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .neuralnet import Network, predict
+from .ioutil import csv_text
+from .neuralnet import Network, check_labels, predict
 from .pipeline import clip_to_image
 from .signal_core import Signal
 
@@ -36,19 +37,13 @@ class EvalReport:
 
 
 def compute_report(true_labels, pred_labels, class_names) -> EvalReport:
-    """Build the full report from parallel true/predicted integer label arrays."""
-    true_labels = np.asarray(true_labels)
-    pred_labels = np.asarray(pred_labels)
-    if true_labels.shape != pred_labels.shape or true_labels.ndim != 1:
-        raise ValueError("true and predicted labels must be equal-length 1D arrays")
-    if len(true_labels) == 0:
+    """Build the full report from parallel true/predicted label arrays, each
+    checked by neuralnet.check_labels."""
+    if np.size(true_labels) == 0:
         raise ValueError("cannot score an empty evaluation set")
-    for what, labels in (("true", true_labels), ("predicted", pred_labels)):
-        if labels.dtype.kind not in "iu":  # a cast would score 0.7 + k as k
-            raise ValueError(f"{what} labels are {labels.dtype}, need integers")
     k = len(class_names)
-    if true_labels.max() >= k or pred_labels.max() >= k or true_labels.min() < 0 or pred_labels.min() < 0:
-        raise ValueError(f"labels out of range for {k} classes")
+    true_labels = check_labels(true_labels, np.size(true_labels), k, "true")
+    pred_labels = check_labels(pred_labels, len(true_labels), k, "predicted")
 
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (true_labels, pred_labels), 1)
@@ -179,14 +174,11 @@ def majority_vote(predictions, k: int):
 
 
 def stream_to_csv(predictions, class_names) -> str:
-    header = "start_s,end_s,pred_class,pred_name," + ",".join(
-        f"p{i}" for i in range(len(class_names))
-    )
-    lines = [header]
-    for p in predictions:
-        probs = ",".join(repr(float(v)) for v in p.probabilities)
-        lines.append(
-            f"{repr(float(p.window_start_s))},{repr(float(p.window_end_s))},"
-            f"{p.label},{class_names[p.label]},{probs}"
-        )
-    return "\n".join(lines) + "\n"
+    """One row per window, written by csv_text: a class name that holds a
+    comma, a quote or a line break stays one field."""
+    header = ["start_s", "end_s", "pred_class", "pred_name",
+              *(f"p{i}" for i in range(len(class_names)))]
+    rows = [[repr(float(p.window_start_s)), repr(float(p.window_end_s)), p.label,
+             class_names[p.label], *(repr(float(v)) for v in p.probabilities)]
+            for p in predictions]
+    return csv_text([header, *rows])

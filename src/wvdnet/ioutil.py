@@ -5,10 +5,14 @@ two writers never share one); the last rename wins and readers only ever
 see a whole file. The temp file is opened like any output file, so the
 result keeps the umask-derived permissions, which `tempfile.mkstemp`'s
 owner-only mode would not.
+
+csv_text forms the CSV outputs that carry names: index.csv and the stream CSV.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import secrets
 from contextlib import contextmanager
@@ -43,3 +47,12 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode())
+
+
+def csv_text(rows) -> str:
+    """rows as csv.writer writes them, each line ended by a line feed: a field
+    that holds a comma, a quote or a line break is quoted, and reads back
+    through csv.reader as one field."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue()

@@ -14,7 +14,8 @@ input the flatten width is 87,616.
 Every layer reads the same way: `params` names the arrays whose gradients
 backward leaves in `grad_<param>` (none for the layers without weights;
 Linear's grad_weight is formed when read, see below),
-`_cache` holds what backward needs from the last forward, and `out_shape`
+`_cache` holds what backward needs from the last forward run with train
+true, which a forward with train false leaves as it was, and `out_shape`
 maps a per-sample input shape to the output shape, raising ValueError on an
 input the layer cannot take. forward runs that same check, and infer_shapes
 and Network both build a config's layers through _build, which chains
@@ -55,14 +56,12 @@ batch-32 scoring forward's peak at 300x300 from 33.5 to 54.4 MB.
 
 predict is the one scoring function: evaluation, every stream window and
 train()'s per-epoch eval all call it, and it scores a batch 32 images at a
-time through a scoring forward, Network.forward with train false. That keeps
-nothing for backward: Network saves no per-sample state, so each block layer's
-_cache holds only the sample it last ran, and every layer's _cache is
-cleared before the forward returns. A scoring forward's pools compute no
-tap index either: Network calls each MaxPool2d's forward with index false.
-Network.backward needs a train=True forward first. A layer called on its
-own keeps its _cache whatever its train argument, so its backward can
-follow a default forward.
+time through a scoring forward, Network.forward with train false. train is
+the one switch for backward state: Network passes it to every layer, and
+every forward first drops what an earlier pass kept (drop_state), so a
+scoring forward keeps nothing: no per-sample state, no layer's _cache and
+no pool's tap index. Network.backward needs a train=True forward first,
+and so does a layer's backward.
 
 MaxPool2d windows tile their input: the stride equals the kernel, as in
 every network train builds. Forward takes the running max over each window
@@ -70,11 +69,11 @@ row's k column taps, the strided views x[:, :, :k*hout, j:k*wout:k], then
 over the window's k rows of that, each step as np.maximum(later, earlier),
 which returns earlier on a tie: a +0.0 and -0.0 tie keeps the bits of the
 first tap in row-major order, and a NaN stays once it enters. The uint8 tap
-index, when forward is asked for it, counts the leading taps in row-major
-order that miss the max (tap != max): that is the first tap that matches
-it, and the last tap for a NaN window, which every tap misses. The tap
-views, one strided view of the input per window position, feed the index
-and backward. Backward writes each input element once: the bits of
+index, which a training forward computes, counts the leading taps in
+row-major order that miss the max (tap != max): that is the first tap that
+matches it, and the last tap for a NaN window, which every tap misses. The
+tap views, one strided view of the input per window position, feed the
+index and backward. Backward writes each input element once: the bits of
 grad_out + 0.0 times (index == q), as same-width unsigned ints, which is
 what adding the taps into zeros gives, -0.0 turned +0.0 included.
 
@@ -262,8 +261,9 @@ def _init_params(layer, shape, dtype, rng, draw):
 
 class Layer:
     """What Network reads of every layer: the names of the parameters whose
-    gradients backward leaves in grad_<param>, _cache, the state forward
-    keeps for backward, and out_shape, its geometry rule."""
+    gradients backward leaves in grad_<param>, _cache, the state backward
+    reads, which forward(x, train=True) writes and forward with train false
+    leaves as it was, and out_shape, its geometry rule."""
 
     params = ()
     _cache = None
@@ -327,7 +327,8 @@ class Conv2d(Layer):
             self._columns(sample, hout, wout, cols)
             np.matmul(w2, cols, out=out[n])
         out += self.bias[:, None]
-        self._cache = (x.shape, xp)
+        if train:
+            self._cache = (x.shape, xp)
         return out.reshape(len(xp), self.out_ch, hout, wout)
 
     def backward(self, grad_out, input_grad=True):
@@ -381,8 +382,8 @@ class MaxPool2d(Layer):
     floor-mode output size; a NaN anywhere in a window makes that output NaN.
     The max runs over each window row's k column taps, then over the
     window's k rows. Ties go to the first element in the window's row-major
-    scan, and a forward asked for the index keeps one uint8 index of that
-    tap per output for backward."""
+    scan, and a training forward keeps one uint8 index of that tap per
+    output for backward."""
 
     def __init__(self, kernel=2, stride=2):
         """stride must equal kernel; the tap index is one byte, so k*k <= 256."""
@@ -402,15 +403,14 @@ class MaxPool2d(Layer):
             raise ValueError(f"input {h}x{w} smaller than pooling window {k}x{k}")
         return c, h // k, w // k
 
-    def forward(self, x, train=False, index=True):
-        """The pooled batch. With index true (the default) the tap index
-        backward reads goes to _cache; with index false, as a scoring
-        Network asks, no index is computed and _cache is left as it was."""
+    def forward(self, x, train=False):
+        """The pooled batch. With train true the tap index backward reads
+        goes to _cache; with train false no index is computed."""
         _, hout, wout = self.out_shape(x.shape[1:])
         k = self.kernel
         rows = _running_max([x[:, :, : k * hout, j : k * wout : k] for j in range(k)])
         out = _running_max([rows[:, :, i::k] for i in range(k)])
-        if index:
+        if train:
             # the count of leading taps that miss the max: the first match's
             # tap, and the last tap for a NaN window, which every tap misses
             which = np.zeros(out.shape, dtype=np.uint8)
@@ -442,8 +442,10 @@ class MaxPool2d(Layer):
 
 class ReLU(Layer):
     def forward(self, x, train=False):
-        self._cache = x > 0
-        return x * self._cache
+        mask = x > 0
+        if train:
+            self._cache = mask
+        return x * mask
 
     def backward(self, grad_out):
         return grad_out * self._cache
@@ -451,7 +453,8 @@ class ReLU(Layer):
 
 class Dropout(Layer):
     """Inverted dropout: each activation is zeroed with probability p at train
-    time and survivors scale by 1/(1-p); eval mode is the identity."""
+    time and survivors scale by 1/(1-p). Eval mode is the identity, and so
+    is p = 0, which keeps no mask: its backward passes the gradient on."""
 
     def __init__(self, p, rng=None):
         if not 0 <= p < 1:
@@ -460,11 +463,10 @@ class Dropout(Layer):
         self.rng = rng if rng is not None else np.random.default_rng(0)
 
     def forward(self, x, train=False):
-        mask = None
-        if train and self.p > 0:
-            mask = (self.rng.random(x.shape) >= self.p).astype(x.dtype)
-        self._cache = mask
-        return x if mask is None else x * mask / (1.0 - self.p)
+        if not (train and self.p > 0):
+            return x
+        self._cache = (self.rng.random(x.shape) >= self.p).astype(x.dtype)
+        return x * self._cache / (1.0 - self.p)
 
     def backward(self, grad_out):
         mask = self._cache
@@ -476,7 +478,8 @@ class Flatten(Layer):
         return (math.prod(shape),)
 
     def forward(self, x, train=False):
-        self._cache = x.shape
+        if train:
+            self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out):
@@ -499,7 +502,8 @@ class Linear(Layer):
 
     def forward(self, x, train=False):
         self.out_shape(x.shape[1:])
-        self._cache = (x, None)  # backward adds its output gradient
+        if train:
+            self._cache = (x, None)  # backward adds its output gradient
         return x @ self.weight.T + self.bias
 
     def backward(self, grad_out, input_grad=True):
@@ -525,6 +529,22 @@ class Linear(Layer):
         return self.weight_grad()
 
 
+def check_labels(labels, count, num_classes, what):
+    """labels as an array, once it is checked to be count class indices:
+    shape (count,), an integer dtype (a bool or 0.7 is no class index, and
+    a cast would read 0.7 + k as k) and each in 0..num_classes-1. Raises
+    ValueError naming what labels they are."""
+    labels = np.asarray(labels)
+    if labels.shape != (count,):  # (B, 1) labels would broadcast to a (B, B) loss
+        raise ValueError(f"{what} labels must have shape ({count},), got {labels.shape}")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"{what} labels are {labels.dtype}, need integers")
+    bad = labels[(labels < 0) | (labels >= num_classes)]
+    if len(bad):
+        raise ValueError(f"{what} label {bad[0]} out of range for {num_classes} classes")
+    return labels
+
+
 def softmax_cross_entropy(logits, labels):
     """Mean loss over a batch ([B, K] logits, B labels) or one sample ([K]
     logits, one label), and the gradient of that mean, (softmax - onehot) / B,
@@ -533,16 +553,8 @@ def softmax_cross_entropy(logits, labels):
     if logits.dtype.kind != "f":
         logits = logits.astype(np.float64)
     z = np.atleast_2d(logits).astype(np.float64)
-    labels = np.atleast_1d(labels)
     b, k = z.shape
-    if labels.shape != (b,):  # (B, 1) labels would broadcast to a (B, B) loss
-        raise ValueError(f"labels for {b} rows of logits must have shape ({b},), "
-                         f"got {labels.shape}")
-    if labels.dtype.kind not in "iu":  # a bool or 0.7 is no class index
-        raise ValueError(f"labels are {labels.dtype}, need integers")
-    bad = labels[(labels < 0) | (labels >= k)]
-    if len(bad):
-        raise ValueError(f"label {bad[0]} out of range for {k} classes")
+    labels = check_labels(np.atleast_1d(labels), b, k, "batch")
     rows = np.arange(b)
     shifted = z - z.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -661,14 +673,6 @@ def infer_shapes(config: NetworkConfig):
     return _build(config)[1]
 
 
-def _forward(layer, x, train):
-    """One layer's forward in a Network pass. A scoring pass asks each pool
-    for no tap index: only backward reads it."""
-    if not train and isinstance(layer, MaxPool2d):
-        return layer.forward(x, index=False)
-    return layer.forward(x, train=train)
-
-
 def _backward(layer, grad_out, first):
     """One layer's backward. The network's first layer computes no input
     gradient, and a first layer without parameters is skipped."""
@@ -734,20 +738,22 @@ class Network:
             put(threads)
 
     def forward(self, x, train=False):
-        """The logits of a batch. With train false (scoring) nothing is kept
-        for backward: no per-sample state, no pool's tap index, and no
-        layer's _cache once the forward returns; every layer runs on the
-        calling thread. With train true the conv blocks run as _per_sample
-        sends them: each sample on one worker thread, the calling thread on
-        the block layers themselves, and BLAS on one thread process-wide
-        until they are all done. The head then runs on the calling thread
-        at BLAS's own count."""
+        """The logits of a batch; every layer's forward gets this train.
+        The forward first drops what an earlier pass kept (drop_state). With
+        train false (scoring) it keeps nothing for backward: no per-sample
+        state, no layer's _cache and no pool's tap index; every layer runs
+        on the calling thread. With train true the conv blocks run as
+        _per_sample sends them: each sample on one worker thread, the
+        calling thread on the block layers themselves, and BLAS on one
+        thread process-wide until they are all done. The head then runs on
+        the calling thread at BLAS's own count."""
         x = np.asarray(x, dtype=self.dtype)
         if x.shape[1:] != tuple(self.config.input_shape):
             raise ValueError(
                 f"input shape {x.shape[1:]} does not match network input "
                 f"{tuple(self.config.input_shape)}"
             )
+        self.drop_state()
         self._caches = [[None] * len(x) for _ in self._blocks] if train else None
         if self._blocks:
             outputs = [None] * len(x)
@@ -755,7 +761,7 @@ class Network:
             def step(blocks, n):
                 h = x[n : n + 1]
                 for i, layer in enumerate(blocks):
-                    h = _forward(layer, h, train)
+                    h = layer.forward(h, train=train)
                     if train:
                         self._caches[i][n] = layer._cache
                 outputs[n] = h
@@ -767,10 +773,7 @@ class Network:
                     step(self._blocks, n)
             x = np.concatenate(outputs)
         for layer in self.layers[len(self._blocks) :]:
-            x = _forward(layer, x, train)
-        if not train:
-            for layer in self.layers:
-                layer._cache = None
+            x = layer.forward(x, train=train)
         return x
 
     def backward(self, grad_logits):
@@ -902,7 +905,6 @@ def train(
         raise ValueError("eval_images and eval_labels must be given together")
     sets = [("training", train_images, train_labels)]
     if eval_labels is not None:
-        eval_labels = np.asarray(eval_labels)
         sets.append(("eval", eval_images, eval_labels))
     for what, images, labels in sets:
         if np.shape(images)[1:] != tuple(config.input_shape):
@@ -910,13 +912,7 @@ def train(
                 f"{what} images are {np.shape(images)[1:]}, network expects "
                 f"{tuple(config.input_shape)}"
             )
-        if labels.shape != (len(images),):
-            raise ValueError(f"{what} image/label count mismatch: labels of shape "
-                             f"{labels.shape} for {len(images)} images")
-        if labels.dtype.kind not in "iu":  # a cast would train 0.7 + k as k
-            raise ValueError(f"{what} labels are {labels.dtype}, need integers")
-        if len(labels) and (labels.min() < 0 or labels.max() >= config.num_classes):
-            raise ValueError(f"{what} labels out of range for the configured class count")
+        check_labels(labels, len(images), config.num_classes, what)
 
     net = Network(config, dtype=np.float32)
     shuffle_rng = np.random.default_rng(cfg.seed)

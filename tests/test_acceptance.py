@@ -139,10 +139,10 @@ def test_criterion_7_gradient_checks():
     start = time.time()
     rng = np.random.default_rng(7)
 
-    def check(layer, x, param_names=(), **fwd):
-        projection = rng.standard_normal(layer.forward(x, **fwd).shape)
+    def check(layer, x, param_names=()):
+        projection = rng.standard_normal(layer.forward(x, train=True).shape)
         grad_in = layer.backward(projection)
-        loss = lambda: float((layer.forward(x, **fwd) * projection).sum())
+        loss = lambda: float((layer.forward(x, train=True) * projection).sum())
         for name in param_names:
             assert_grads_close(getattr(layer, "grad_" + name), numeric_gradient(loss, getattr(layer, name)))
         assert_grads_close(grad_in, numeric_gradient(loss, x))
@@ -164,7 +164,7 @@ def test_criterion_7_gradient_checks():
     check(ReLU(), relu_in)
     check(Flatten(), rng.standard_normal((2, 3, 4, 4)))
     draws = FixedDraws(np.random.default_rng(4).random((3, 8)))  # mask: draws >= p
-    check(Dropout(0.25, rng=draws), rng.standard_normal((3, 8)), train=True)
+    check(Dropout(0.25, rng=draws), rng.standard_normal((3, 8)))
 
     logits = rng.standard_normal(9)
     _, grad = softmax_cross_entropy(logits, 4)

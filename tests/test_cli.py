@@ -209,6 +209,23 @@ class TestTrainCommand:
         assert main(["train", "--out", str(tmp_path)] + BASE_FLAGS) == 2
         assert "malformed store.json" in capsys.readouterr().err
 
+    # 200000 once exited 3 on a 149 GiB allocation, true exited 3 with "an
+    # integer is required", and -3 exited 2 without naming the store
+    @pytest.mark.parametrize("value, message", [
+        (200000, "arrays/00000_clip_000.f32: expected 40000000000 float32 values "
+                 "(160000000000 bytes), found 16384 bytes"),
+        (True, "malformed store.json: 'image_rows' is True, need an int >= 2"),
+        (-3, "malformed store.json: 'image_rows' is -3, need an int >= 2"),
+    ], ids=["huge", "bool", "negative"])
+    def test_store_dimensions_checked_before_allocation_exit_2(self, workspace, tmp_path,
+                                                                capsys, value, message):
+        meta = json.loads((workspace["store"] / "store.json").read_text())
+        meta["image_rows"] = meta["image_cols"] = value
+        shutil.copytree(workspace["store"] / "arrays", tmp_path / "arrays")
+        (tmp_path / "store.json").write_text(json.dumps(meta))
+        assert main(["train", "--out", str(tmp_path)] + BASE_FLAGS) == 2
+        assert message in capsys.readouterr().err
+
     def test_store_json_that_is_not_json_exits_2_and_is_rebuilt(self, workspace, tmp_path,
                                                                  capsys):
         (tmp_path / "store.json").write_text("{not json")
@@ -406,6 +423,46 @@ class TestStreamCommand:
                                  setup="from wvdnet.cli import main")
         assert growth < 3.25 * mono_bytes + 24e6, f"{growth / mono_bytes:.2f}x the mono size"
         assert len((tmp_path / "stream.csv").read_text().splitlines()) == 1 + 6
+
+
+class TestScoringPeakRss:
+    """evaluate and stream at 300x300 hold one copy of the checkpoint's
+    weights (175 MB, nearly all of it fc1's): the checkpoint is read
+    straight into the network's arrays, and scoring keeps no backward state.
+    The 48 MB covers the store or the recording, the scoring forward's
+    per-sample conv arrays and the allocator's slack; a second copy of the
+    weights would exceed the bound by more than 120 MB."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "stream"])
+    def test_peak_rss_is_one_copy_of_the_weights_and_a_constant(self, tmp_path, command):
+        net = Network(reference_config((1, 300, 300), 3))
+        weight_bytes = sum(getattr(owner, name).nbytes for owner, name in net.param_arrays())
+        ckpt = tmp_path / "model.wvdn"
+        with open(ckpt, "wb") as handle:
+            save_checkpoint(net, handle, ["a", "b", "c"])
+        del net
+        argv = [command, "--checkpoint", str(ckpt), "--out", str(tmp_path)]
+        if command == "evaluate":
+            (tmp_path / "arrays").mkdir()
+            images = np.random.default_rng(0).random((6, 300, 300), dtype=np.float32)
+            clips = []
+            for i, image in enumerate(images):
+                clips.append({"file": f"arrays/{i:05d}_clip.f32", "label": i % 3, "fold": None})
+                (tmp_path / clips[-1]["file"]).write_bytes(image.astype("<f4").tobytes())
+            (tmp_path / "store.json").write_text(json.dumps({
+                "class_names": ["a", "b", "c"], "image_rows": 300, "image_cols": 300,
+                "config_hash": "0" * 64, "clips": clips}))
+            argv += ["--split", "all"]
+        else:
+            rate = 4000.0
+            wav = tmp_path / "long.wav"
+            write_wav_pcm16(wav, np.random.default_rng(1).uniform(-0.5, 0.5, round(8 * rate)),
+                            rate)
+            argv.append(str(wav))
+        growth = peak_rss_growth(f"assert main({argv!r}) == 0",
+                                 setup="from wvdnet.cli import main")
+        assert growth < weight_bytes + 48e6, f"{(growth - weight_bytes) / 1e6:.1f} MB over weights"
+
 
 class TestExportCommand:
     def test_png_and_csv_outputs(self, workspace, tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import struct
@@ -636,6 +637,38 @@ class TestPreprocess:
         index_file = sorted((out / "arrays").iterdir())[0]
         index_file.unlink()
         assert not is_store_current(manifest, cfg, out)
+
+    def test_skipped_clip_that_now_reads_or_fails_otherwise_is_not_current(self, tmp_path):
+        # the store once counted skipped.txt's lines without reading them, so a
+        # repaired clip stayed out of it and preprocess printed "up to date"
+        root = tmp_path / "data"
+        make_folder_dataset(root, {"a": 1})
+        junk = root / "a" / "clip_001.wav"
+        junk.write_bytes(b"this is not audio at all")
+        manifest = load_manifest(root, "folder_per_class")
+        cfg = build_config({}, SMALL_CFG)
+        out = tmp_path / "store"
+        assert preprocess_dataset(manifest, cfg, out) == {"written": 1, "skipped": 1}
+        assert is_store_current(manifest, cfg, out)
+        junk.write_bytes(b"RIFF")  # still undecodable, for another reason
+        assert not is_store_current(manifest, cfg, out)
+        junk.write_bytes((root / "a" / "clip_000.wav").read_bytes())
+        assert not is_store_current(manifest, cfg, out)
+        assert len(list((out / "arrays").iterdir())) == 1  # the check writes no array
+        assert preprocess_dataset(manifest, cfg, out) == {"written": 2, "skipped": 0}
+        assert is_store_current(manifest, cfg, out)
+
+    def test_index_csv_reads_back_with_a_comma_in_a_clip_name(self, tmp_path):
+        root = tmp_path / "data"
+        make_folder_dataset(root, {"a": 1})
+        (root / "a" / "clip_000.wav").rename(root / "a" / 'street, "night".wav')
+        manifest = load_manifest(root, "folder_per_class")
+        out = tmp_path / "store"
+        preprocess_dataset(manifest, build_config({}, SMALL_CFG), out)
+        with open(out / "index.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows == [["file", "label", "fold"], ['arrays/00000_street, "night".f32', "0", ""]]
+        assert (out / rows[1][0]).is_file()
 
     def test_interrupted_rerun_leaves_no_current_store(self, tmp_path, monkeypatch):
         # a rerun under another config overwrites the arrays in place; stopped

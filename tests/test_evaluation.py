@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from conftest import reference_report
@@ -87,10 +90,20 @@ class TestComputeReport:
         with pytest.raises(ValueError, match="empty"):
             compute_report([], [], ("a",))
 
-    @pytest.mark.parametrize("true, pred", [([0, 1, 1], [0, 1]), ([[0, 1]], [[0, 1]])],
-                             ids=["lengths", "2d"])
-    def test_labels_of_other_shapes_rejected(self, true, pred):
-        with pytest.raises(ValueError, match="equal-length 1D arrays"):
+    @pytest.mark.parametrize("true, pred, message", [
+        ([0, 1, 1], [0, 1], r"predicted labels must have shape \(3,\), got \(2,\)"),
+        ([[0, 1]], [[0, 1]], r"true labels must have shape \(2,\), got \(1, 2\)"),
+    ], ids=["lengths", "2d"])
+    def test_labels_of_other_shapes_rejected(self, true, pred, message):
+        with pytest.raises(ValueError, match=message):
+            compute_report(true, pred, ("a", "b"))
+
+    @pytest.mark.parametrize("true, pred, message", [
+        ([0, 2], [0, 1], "true label 2 out of range for 2 classes"),
+        ([0, 1], [-1, 1], "predicted label -1 out of range for 2 classes"),
+    ])
+    def test_labels_out_of_range_rejected(self, true, pred, message):
+        with pytest.raises(ValueError, match=message):
             compute_report(true, pred, ("a", "b"))
 
     # a cast to int once scored [0.7, 1.9] against [0, 1] as accuracy 1.0
@@ -224,6 +237,15 @@ class TestStreamWindows:
         assert lines[0] == "start_s,end_s,pred_class,pred_name,p0,p1"
         assert lines[1] == "0.0,4.0,1,loud,0.25,0.75"
         assert lines[2] == "1.0,5.0,0,quiet,0.5,0.5"
+
+    def test_csv_names_with_a_comma_or_quote_read_back_as_one_field(self):
+        # written unquoted, 'trucks, heavy' made a 7-field row under a 6-field header
+        names = ("cars", "trucks, heavy", 'the "bus"')
+        preds = [StreamPrediction(float(i), i + 4.0, i, np.eye(3)[i]) for i in range(3)]
+        rows = list(csv.reader(io.StringIO(stream_to_csv(preds, names))))
+        assert rows[0] == ["start_s", "end_s", "pred_class", "pred_name", "p0", "p1", "p2"]
+        assert [row[3] for row in rows[1:]] == list(names)
+        assert all(len(row) == 7 for row in rows)
 
     def test_majority_vote_smoother(self):
         preds = [

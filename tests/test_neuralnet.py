@@ -83,14 +83,14 @@ class TestConvBackward:
         conv = Conv2d(1, 1, 1, dtype=np.float64)
         conv.weight = np.array([[[[2.0]]]])
         conv.bias = np.array([1.0])
-        conv.forward(np.array([[[[5.0]]]]))
+        conv.forward(np.array([[[[5.0]]]]), train=True)
         conv.backward(np.array([[[[1.0]]]]))
         assert conv.grad_weight.item() == pytest.approx(5.0)
 
     def test_bias_gradient_is_spatial_sum(self):
         conv = Conv2d(1, 2, 3, padding=1, dtype=np.float64)
         x = RNG.standard_normal((2, 1, 4, 4))
-        grad_out = RNG.standard_normal(conv.forward(x).shape)
+        grad_out = RNG.standard_normal(conv.forward(x, train=True).shape)
         conv.backward(grad_out)
         np.testing.assert_allclose(conv.grad_bias, grad_out.sum(axis=(0, 2, 3)))
 
@@ -102,7 +102,7 @@ class TestConvBackward:
         conv = Conv2d(in_ch, out_ch, kernel, stride, padding, dtype=np.float64,
                       rng=np.random.default_rng(5))
         x = RNG.standard_normal((2, in_ch, h, w))
-        projection = RNG.standard_normal(conv.forward(x).shape)
+        projection = RNG.standard_normal(conv.forward(x, train=True).shape)
         grad_in = conv.backward(projection)
         loss = lambda: projected_loss(conv, x, projection)
         assert_grads_close(conv.grad_weight, numeric_gradient(loss, conv.weight))
@@ -151,7 +151,7 @@ class TestConvMatchesBatchIm2col:
         conv = Conv2d(in_ch, out_ch, kernel, stride, padding, dtype=dtype, rng=rng)
         conv.bias = rng.standard_normal(out_ch).astype(dtype)
         x = rng.standard_normal((3, in_ch, h, w)).astype(dtype)
-        out = conv.forward(x)
+        out = conv.forward(x, train=True)
         grad_out = rng.standard_normal(out.shape).astype(dtype)
         grad_in = conv.backward(grad_out)
         ref = reference_conv2d(conv, x, grad_out)
@@ -163,7 +163,7 @@ class TestConvMatchesBatchIm2col:
         rng = np.random.default_rng(3)
         conv = Conv2d(2, 3, 3, 1, 1, rng=rng)
         x = rng.standard_normal((2, 2, 6, 7)).astype(np.float32)
-        grad_out = rng.standard_normal(conv.forward(x).shape).astype(np.float32)
+        grad_out = rng.standard_normal(conv.forward(x, train=True).shape).astype(np.float32)
         conv.backward(grad_out)
         grads = conv.grad_weight.tobytes(), conv.grad_bias.tobytes()
         assert conv.backward(grad_out, input_grad=False) is None
@@ -197,17 +197,16 @@ POOL_GEOMETRIES = [(2, 2, 75, 75), (2, 2, 7, 9), (3, 3, 10, 11), (1, 1, 5, 6), (
 
 
 class TestMaxPool:
-    @pytest.mark.parametrize("index", [True, False])
+    @pytest.mark.parametrize("train", [True, False])
     @pytest.mark.parametrize("gated", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k,s,h,w", POOL_GEOMETRIES)
-    def test_matches_window_copy_reference(self, k, s, h, w, dtype, gated, index):
+    def test_matches_window_copy_reference(self, k, s, h, w, dtype, gated, train):
         rng = np.random.default_rng(k * 100 + s * 10 + h)
         x = np.round(rng.standard_normal((2, 3, h, w)) * 2) / 2  # many equal maxima
         x = (x * (x > 0)).astype(dtype)  # relu output: ties among +0.0 and -0.0
         pool = MaxPool2d(k, s)
-        pool._cache = earlier = ((2, 3, h, w), None)  # an earlier forward's
-        out = pool.forward(x, index=index)
+        out = pool.forward(x, train=train)
         grad_out = rng.standard_normal(out.shape).astype(dtype)
         if gated:  # as ReLU backward passes it: -0.0 where a negative gradient is gated
             grad_out *= rng.random(out.shape) < 0.5
@@ -215,8 +214,7 @@ class TestMaxPool:
         ref_out, ref_grad = reference_maxpool(x, k, s, grad_out)
         assert out.dtype == ref_out.dtype and out.shape == ref_out.shape
         assert out.tobytes() == ref_out.tobytes()
-        if not index:  # no index computed, and the earlier forward's state kept
-            assert pool._cache is earlier
+        if not train:  # a scoring forward computes no index to run backward from
             return
         grad_in = pool.backward(grad_out)
         assert grad_in.dtype == ref_grad.dtype and grad_in.shape == ref_grad.shape
@@ -235,12 +233,12 @@ class TestMaxPool:
         x[:, 1] = np.minimum(x[:, 1], 0)  # windows whose max is a signed zero
         x[:, 2] = np.where(np.isnan(x[:, 2]), 0, x[:, 2])  # no NaN
         pool = MaxPool2d(k, k)
-        out = pool.forward(x)
+        out = pool.forward(x, train=True)
         want_out, want_which = running_max_maxpool(x, k)
         assert np.isnan(out).any() and not np.isnan(out[:, 2]).any()
         assert out.tobytes() == want_out.tobytes()
         assert pool._cache[1].tobytes() == want_which.tobytes()
-        assert pool.forward(x, index=False).tobytes() == out.tobytes()
+        assert pool.forward(x).tobytes() == out.tobytes()
 
     # overlapping (stride < kernel) and gapped (stride > kernel) windows
     @pytest.mark.parametrize("k,s", [(3, 2), (2, 1), (2, 3)])
@@ -256,7 +254,7 @@ class TestMaxPool:
             for j in range(k):
                 x = np.abs(rng.standard_normal((1, 2, h, w)))
                 x[0, 1, s + i, s + j] = np.nan  # window (1, 1) of channel 1
-                out = pool.forward(x)
+                out = pool.forward(x, train=True)
                 assert np.isnan(out[0, 1, 1, 1])
                 np.testing.assert_array_equal(out, reference_maxpool(x, k, s)[0])
                 # backward routes a NaN window's gradient to its last tap
@@ -282,14 +280,14 @@ class TestMaxPool:
 
     def test_tie_break_routes_to_first_in_row_major_scan(self):
         pool = MaxPool2d(2, 2)
-        pool.forward(np.ones((1, 1, 2, 2)))
+        pool.forward(np.ones((1, 1, 2, 2)), train=True)
         grad = pool.backward(np.array([[[[1.0]]]]))
         np.testing.assert_allclose(grad[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_gradient_matches_finite_differences(self):
         pool = MaxPool2d(2, 2)
         x = RNG.standard_normal((2, 3, 6, 6))
-        projection = RNG.standard_normal(pool.forward(x).shape)
+        projection = RNG.standard_normal(pool.forward(x, train=True).shape)
         grad_in = pool.backward(projection)
         loss = lambda: projected_loss(pool, x, projection)
         assert_grads_close(grad_in, numeric_gradient(loss, x))
@@ -318,7 +316,7 @@ class TestSimpleLayers:
         x = RNG.standard_normal((3, 7)) + 0.2  # keep clear of the kink
         x[np.abs(x) < 1e-3] = 0.5
         projection = RNG.standard_normal(x.shape)
-        relu.forward(x)
+        relu.forward(x, train=True)
         grad_in = relu.backward(projection)
         loss = lambda: projected_loss(relu, x, projection)
         assert_grads_close(grad_in, numeric_gradient(loss, x))
@@ -327,7 +325,7 @@ class TestSimpleLayers:
         lin = Linear(6, 4, dtype=np.float64, rng=np.random.default_rng(6))
         x = RNG.standard_normal((3, 6))
         projection = RNG.standard_normal((3, 4))
-        lin.forward(x)
+        lin.forward(x, train=True)
         grad_in = lin.backward(projection)
         loss = lambda: projected_loss(lin, x, projection)
         assert_grads_close(lin.grad_weight, numeric_gradient(loss, lin.weight))
@@ -351,7 +349,7 @@ class TestSimpleLayers:
     def test_flatten_round_trip(self):
         flat = Flatten()
         x = RNG.standard_normal((2, 3, 4, 5))
-        out = flat.forward(x)
+        out = flat.forward(x, train=True)
         assert out.shape == (2, 60)
         np.testing.assert_array_equal(flat.backward(out), x)
 
@@ -388,6 +386,33 @@ class TestSimpleLayers:
     def test_invalid_dropout_probability_rejected(self):
         with pytest.raises(ValueError):
             Dropout(1.0)
+
+
+# one layer of each type in neuralnet._LAYER_TYPES, and an input it takes
+TRAIN_SWITCH_CASES = {
+    "conv2d": (lambda: Conv2d(2, 3, 3, padding=1, dtype=np.float64), (2, 2, 5, 6)),
+    "maxpool2d": (lambda: MaxPool2d(2, 2), (2, 3, 6, 5)),
+    "relu": (ReLU, (2, 3, 4, 4)),
+    "dropout": (lambda: Dropout(0.5, rng=np.random.default_rng(3)), (2, 12)),
+    "flatten": (Flatten, (2, 3, 2, 2)),
+    "linear": (lambda: Linear(12, 5, dtype=np.float64), (2, 12)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(neuralnet._LAYER_TYPES))
+def test_train_alone_decides_what_forward_keeps(kind):
+    make, shape = TRAIN_SWITCH_CASES[kind]
+    layer = make()
+    assert type(layer) is neuralnet._LAYER_TYPES[kind]
+    x = np.random.default_rng(4).standard_normal(shape)
+    layer._cache = earlier = object()  # an earlier training forward's
+    scored = layer.forward(x)
+    assert layer._cache is earlier
+    out = layer.forward(x, train=True)
+    if kind != "dropout":  # train changes no output but dropout's
+        assert out.tobytes() == scored.tobytes()
+    grad_in = layer.backward(np.ones_like(out))
+    assert grad_in.shape == x.shape
 
 
 INIT_CASES = {
@@ -497,12 +522,12 @@ class TestSoftmaxCrossEntropy:
         assert np.abs(grad - numeric).max() < 1e-6
 
     def test_label_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="batch label 3 out of range for 3 classes"):
             softmax_cross_entropy(np.zeros(3), 3)
 
-    @pytest.mark.parametrize("labels", [[0, 3], [-1, 0]])
-    def test_batch_label_out_of_range_rejected(self, labels):
-        with pytest.raises(ValueError, match="out of range"):
+    @pytest.mark.parametrize("labels, bad", [([0, 3], 3), ([-1, 0], -1)])
+    def test_batch_label_out_of_range_rejected(self, labels, bad):
+        with pytest.raises(ValueError, match=f"batch label {bad} out of range for 3 classes"):
             softmax_cross_entropy(np.zeros((2, 3)), np.array(labels))
 
     def test_batch_version_averages(self):
@@ -533,17 +558,17 @@ class TestSoftmaxCrossEntropy:
     @pytest.mark.parametrize("labels, dtype", [([0.7, 1.9], "float64"), ([True, False], "bool")])
     def test_labels_that_are_not_integers_rejected(self, labels, dtype):
         # a float label once indexed the logits and raised IndexError
-        with pytest.raises(ValueError, match=f"labels are {dtype}, need integers"):
+        with pytest.raises(ValueError, match=f"batch labels are {dtype}, need integers"):
             softmax_cross_entropy(np.zeros((2, 3)), np.array(labels))
 
     def test_label_count_must_match_batch(self):
-        with pytest.raises(ValueError, match="labels for"):
+        with pytest.raises(ValueError, match=r"batch labels must have shape \(2,\), got \(1,\)"):
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0]))
 
     def test_column_of_labels_rejected(self):
         # (B, 1) labels broadcast against the batch's rows into a (B, B) loss
-        with pytest.raises(ValueError, match=r"labels for 2 rows of logits must have shape "
-                                             r"\(2,\), got \(2, 1\)"):
+        with pytest.raises(ValueError, match=r"batch labels must have shape \(2,\), "
+                                             r"got \(2, 1\)"):
             softmax_cross_entropy(np.zeros((2, 3)), np.array([[0], [1]]))
 
 
@@ -565,11 +590,14 @@ def small_dataset(n=12, classes=3, seed=1):
 
 
 def spec_order_pass(net, x, grad_logits, train):
-    """Forward and backward through net.layers in config order (each ReLU
-    before its pool); returns the logits and copies of the parameter gradients."""
+    """Forward through net.layers in config order (each ReLU before its
+    pool) and, with train true, backward; returns the logits and copies of
+    the parameter gradients (None with train false)."""
     x = np.asarray(x, dtype=net.dtype)
     for layer in net.layers:
         x = layer.forward(x, train=train)
+    if not train:
+        return x, None
     g = grad_logits
     for layer in reversed(net.layers):
         g = layer.backward(g)
@@ -858,10 +886,10 @@ class TestTraining:
     @pytest.mark.parametrize("eval_images, eval_labels, match", [
         (4, None, "together"),
         (None, [0, 1, 2, 0], "together"),
-        (4, [1], "count mismatch"),
-        (4, 1, "count mismatch"),
-        (4, [0, 1, 7, 2], "range"),
-        (4, [0, -1, 2, 1], "range"),
+        (4, [1], r"eval labels must have shape \(4,\), got \(1,\)"),
+        (4, 1, r"eval labels must have shape \(4,\), got \(\)"),
+        (4, [0, 1, 7, 2], "eval label 7 out of range for 3 classes"),
+        (4, [0, -1, 2, 1], "eval label -1 out of range for 3 classes"),
     ], ids=["no-labels", "no-images", "one-label", "scalar-label", "label-7", "label-minus-1"])
     def test_eval_set_checked(self, eval_images, eval_labels, match):
         images, labels = small_dataset(n=8, classes=3)
@@ -878,8 +906,8 @@ class TestTraining:
         images, labels = small_dataset(n=6)
         train_labels = labels[:, None] if which == "training" else labels
         eval_labels = labels[:, None] if which == "eval" else labels
-        with pytest.raises(ValueError, match=rf"{which} image/label count mismatch: labels of "
-                                             r"shape \(6, 1\) for 6 images"):
+        with pytest.raises(ValueError, match=rf"{which} labels must have shape \(6,\), "
+                                             r"got \(6, 1\)"):
             train(small_config(), images, train_labels, TrainConfig(epochs=1, batch_size=2),
                   images, eval_labels)
 
@@ -1251,14 +1279,14 @@ class TestPredict:
         calls = []
         for pool in pools:  # a per-instance wrapper, as perfbench's tracer sets
             def traced(x, forward=pool.forward, pool=pool, **kwargs):
-                calls.append((pool, kwargs.get("index", True)))
+                calls.append((pool, kwargs.get("train")))  # the tracer reads train from kwargs
                 return forward(x, **kwargs)
 
             pool.forward = traced
         labels, probs = predict(net, images)
         assert calls == [(pool, False) for _ in range(5) for pool in pools]
         for pool in pools:  # the same pass with each pool's index computed
-            pool.forward = lambda x, pool=pool, **kwargs: MaxPool2d.forward(pool, x, index=True)
+            pool.forward = lambda x, pool=pool, **kwargs: MaxPool2d.forward(pool, x, train=True)
         forced = predict(net, images)
         assert labels.tobytes() == forced[0].tobytes() and probs.tobytes() == forced[1].tobytes()
 
