@@ -7,33 +7,15 @@ aliases. Everything here runs in double precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .signal_core import Signal, work_array
 
 
-@dataclass(frozen=True)
-class ComplexSignal:
-    """A uniformly sampled complex waveform."""
+class ComplexSignal(Signal):
+    """A uniformly sampled complex waveform: a Signal of complex128 samples."""
 
-    samples: np.ndarray
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.complex128))
-        if self.samples.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
+    sample_dtype = np.dtype(np.complex128)
 
 
 def analytic_signal(signal: Signal, work: dict | None = None) -> ComplexSignal:

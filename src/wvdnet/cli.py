@@ -3,7 +3,8 @@
 Subcommands: preprocess, synth, train, evaluate, stream, export. Every run
 configuration key is available as a flag; `--config FILE` loads a flat
 `key = value` file, and flags override file values. Exit codes: 0 success,
-1 usage/config error, 2 data or value error (DataError is a ValueError),
+1 usage/config error, 2 data or value error (DataError is a ValueError) or
+an allocation the machine cannot give (sizes follow the user's flags),
 3 internal error.
 """
 
@@ -35,7 +36,7 @@ from .evaluation import (
     stream_infer,
     stream_to_csv,
 )
-from .ioutil import atomic_write_bytes, atomic_write_text, atomic_writer
+from .ioutil import atomic_write_bytes, atomic_write_text, atomic_writer, csv_text
 from .neuralnet import TrainConfig, load_checkpoint, reference_config, save_checkpoint, train
 from .pipeline import clip_to_image
 from .synth import generate_dataset
@@ -110,13 +111,8 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise DataError("training split is empty; adjust holdout_fraction or test_fold")
     rows, cols = store.images.shape[2], store.images.shape[3]
     net_config = reference_config((1, rows, cols), len(store.class_names), seed=cfg.seed)
-    train_cfg = TrainConfig(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        momentum=cfg.momentum,
-        seed=cfg.seed,
-    )
+    train_cfg = TrainConfig(**{f.name: getattr(cfg, f.name)
+                               for f in dataclasses.fields(TrainConfig)})
     eval_x = store.images[test_idx] if len(test_idx) else None
     eval_y = store.labels[test_idx] if len(test_idx) else None
     net, history = train(
@@ -125,11 +121,10 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     ckpt_path = _checkpoint_path(cfg, args)
     with atomic_writer(ckpt_path) as handle:
         save_checkpoint(net, handle, store.class_names)
-    lines = ["epoch,train_loss,eval_accuracy"]
-    for row in history:
-        acc = "" if row["eval_accuracy"] is None else repr(row["eval_accuracy"])
-        lines.append(f"{row['epoch']},{repr(row['train_loss'])},{acc}")
-    atomic_write_text(Path(cfg.out_dir) / "history.csv", "".join(l + "\n" for l in lines))
+    # csv writes a float as its repr and None (no eval set) as an empty field
+    fields = ("epoch", "train_loss", "eval_accuracy")
+    atomic_write_text(Path(cfg.out_dir) / "history.csv",
+                      csv_text([fields, *([row[f] for f in fields] for row in history)]))
     if history and history[-1]["eval_accuracy"] is not None:
         best = max(r["eval_accuracy"] for r in history)
         print(f"trained {cfg.epochs} epochs; best eval accuracy {best:.4f}")
@@ -165,9 +160,8 @@ def cmd_stream(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not class_names:
         class_names = [str(i) for i in range(net.config.num_classes)]
     predictions = majority_vote(stream_infer(net, signal, cfg), cfg.vote_windows)
-    csv_text = stream_to_csv(predictions, class_names)
     out_path = Path(args.output) if args.output else Path(cfg.out_dir) / "stream.csv"
-    atomic_write_text(out_path, csv_text)
+    atomic_write_text(out_path, stream_to_csv(predictions, class_names))
     print(f"{len(predictions)} windows -> {out_path}")
     return 0
 
@@ -237,7 +231,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

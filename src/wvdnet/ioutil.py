@@ -6,7 +6,7 @@ see a whole file. The temp file is opened like any output file, so the
 result keeps the umask-derived permissions, which `tempfile.mkstemp`'s
 owner-only mode would not.
 
-csv_text forms the CSV outputs that carry names: index.csv and the stream CSV.
+csv_text forms index.csv, the stream CSV and history.csv.
 """
 
 from __future__ import annotations

@@ -942,8 +942,8 @@ def train(
                 # a Linear weight's gradient goes in by row blocks: no
                 # weight-sized gradient exists (175 MB for fc1 at 300x300)
                 block = np.empty((min(_UPDATE_ROWS, len(param)), param.shape[1]), param.dtype)
-                for start in range(0, len(param), _UPDATE_ROWS):
-                    rows = slice(start, start + _UPDATE_ROWS)
+                for first in range(0, len(param), _UPDATE_ROWS):
+                    rows = slice(first, first + _UPDATE_ROWS)
                     grad_rows = owner.weight_grad(rows, out=block[: len(param[rows])])
                     _sgd_update(param[rows], vel[rows], grad_rows, cfg)
             # spent: without this, the next backward would hold two of each

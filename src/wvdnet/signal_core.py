@@ -26,18 +26,21 @@ class Signal:
     """A uniformly sampled real waveform.
 
     samples are dimensionless amplitudes, nominally in [-1, 1]; time of
-    sample i is i / sample_rate_hz seconds.
+    sample i is i / sample_rate_hz seconds. They are held as sample_dtype,
+    which a subclass may set to a complex dtype (analytic.ComplexSignal).
     """
 
     samples: np.ndarray
     sample_rate_hz: float
+    sample_dtype = np.dtype(np.float64)  # a class constant, not a field
 
     def __post_init__(self):
         if self.sample_rate_hz <= 0:
             raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        if np.iscomplexobj(self.samples):
+        samples = np.asarray(self.samples)
+        if samples.dtype.kind == "c" and self.sample_dtype.kind != "c":
             raise ValueError("samples must be real; pass complex samples to ComplexSignal")
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        object.__setattr__(self, "samples", samples.astype(self.sample_dtype, copy=False))
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
 
@@ -144,7 +147,8 @@ def snap_decimation_rate(source_rate_hz: float, requested_rate_hz: float) -> flo
         return source_rate_hz
     src_int = round(source_rate_hz)
     if abs(source_rate_hz - src_int) < 1e-9:
-        for k in range(k_max, 1, -1):
+        # no k above src_int divides it, however small the request
+        for k in range(min(k_max, src_int), 1, -1):
             if src_int % k == 0:
                 return src_int / k
     return source_rate_hz / k_max

@@ -101,16 +101,11 @@ class LagWindow:
 
 
 def hamming_lag_window(length: int) -> LagWindow:
-    if length < 1 or length % 2 == 0:
-        raise ValueError(f"lag window length must be a positive odd integer, got {length}")
-    coeffs = np.hamming(length)
-    coeffs /= coeffs[length // 2]  # np.hamming peaks at 1 for odd lengths; keep exact
-    return LagWindow(coeffs)
+    # np.hamming's centre, 0.54 + 0.46 * cos(0), is exactly 1.0 for odd lengths
+    return LagWindow(np.hamming(length))
 
 
 def rectangular_lag_window(length: int) -> LagWindow:
-    if length < 1 or length % 2 == 0:
-        raise ValueError(f"lag window length must be a positive odd integer, got {length}")
     return LagWindow(np.ones(length))
 
 

@@ -303,15 +303,17 @@ def peak_rss():
 """
 
 
-def run_child(code, blas_threads=None):
+def run_child(code, blas_threads=None, timeout=None):
     """Run `code` in a fresh interpreter that imports this checkout's
     package, with OPENBLAS_NUM_THREADS set to `blas_threads` when given;
-    returns what it prints."""
+    returns what it prints. A child still running after `timeout` seconds
+    is killed, and subprocess.TimeoutExpired fails the test."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=timeout)
     assert done.returncode == 0, done.stderr
     return done.stdout
 

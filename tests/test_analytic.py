@@ -80,3 +80,6 @@ def test_complex_signal_validation():
         ComplexSignal(np.zeros(4, dtype=complex), -1.0)
     sig = ComplexSignal(np.zeros(8, dtype=complex), 2000.0)
     assert sig.duration_s == pytest.approx(0.004)
+    assert ComplexSignal([1.0, 2.0], 1.0).samples.dtype == np.complex128
+    with pytest.raises(ValueError, match="one-dimensional"):
+        ComplexSignal(np.zeros((2, 2), dtype=complex), 1.0)

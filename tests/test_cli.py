@@ -483,6 +483,18 @@ class TestExportCommand:
         clip = next((workspace["data"] / "0_tone").glob("*.wav"))
         assert main(["export", str(clip)] + BASE_FLAGS) == 1
 
+    def test_unallocatable_clip_exits_2(self, workspace, tmp_path, capsys):
+        # 4e15 float64 samples, 32 PB: beyond the 128 TiB that Linux maps for
+        # an x86-64 process by default, so the allocation fails at once
+        # without touching memory
+        clip = next((workspace["data"] / "0_tone").glob("*.wav"))
+        csv = tmp_path / "img.csv"
+        code = main(["export", str(clip), "--csv", str(csv), "--clip-seconds", "1e12"]
+                    + BASE_FLAGS)
+        assert code == 2
+        assert "error: Unable to allocate" in capsys.readouterr().err
+        assert not csv.exists()
+
 
 class TestFoldSplit:
     FOLD_FLAGS = [

@@ -1,4 +1,3 @@
-import concurrent.futures
 import hashlib
 import io
 import json
@@ -7,7 +6,6 @@ import struct
 import sys
 import textwrap
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -462,23 +460,18 @@ class TestWeightInit:
         Linear(1000, 7, rng=np.random.default_rng(0))
         assert threading.active_count() == before
 
-    def test_every_part_runs_on_a_thread_of_its_own(self, monkeypatch):
-        # a pool hands a part to any idle thread: with each submit slowed,
-        # one pool thread ran parts 1-3
-        submit = concurrent.futures.ThreadPoolExecutor.submit
-
-        def slow_submit(pool, *args, **kwargs):
-            future = submit(pool, *args, **kwargs)
-            time.sleep(0.05)
-            return future
-
-        monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", slow_submit)
+    def test_every_part_runs_on_a_thread_of_its_own(self):
+        # no part gets past the barrier until all four have reached it:
+        # parts that share a thread, or run one after another, break it
+        barrier = threading.Barrier(4, timeout=10)
         ran = {}
-        neuralnet._in_parts(4, lambda k: ran.setdefault(k, threading.current_thread()))
-        caller = threading.current_thread()
-        assert ran[0] is caller
-        others = [ran[k] for k in (1, 2, 3)]
-        assert caller not in others and len(set(others)) == 3
+
+        def part(k):
+            ran[k] = threading.current_thread()
+            barrier.wait()
+
+        neuralnet._in_parts(4, part)
+        assert ran[0] is threading.current_thread()
 
     def test_part_exception_reaches_caller(self, monkeypatch):
         parts_of(monkeypatch, 4, chunk=1024)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import three_range_decimate
+from conftest import run_child, three_range_decimate
 
 from wvdnet.signal_core import (
     Signal,
@@ -223,6 +223,16 @@ class TestSnapDecimationRate:
 
     def test_request_above_source(self):
         assert snap_decimation_rate(4000.0, 8000.0) == 4000.0
+
+    def test_tiny_request_returns_at_once(self):
+        # the divisor search starts at the source rate, not at source / request
+        assert snap_decimation_rate(44100.0, 1e-3) == 1.0
+        code = ("from wvdnet.signal_core import snap_decimation_rate\n"
+                "print(snap_decimation_rate(44100.0, 1e-300))")
+        assert run_child(code, timeout=20).split() == ["1.0"]
+
+    def test_non_integral_source_takes_the_floor_factor(self):
+        assert snap_decimation_rate(22050.5, 4000.0) == 22050.5 / 5
 
 
 class TestPadOrTruncate:

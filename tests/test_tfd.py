@@ -33,12 +33,19 @@ class TestLagWindows:
         win = hamming_lag_window(127)
         assert win.coefficients[63] == 1.0
         np.testing.assert_allclose(win.coefficients, win.coefficients[::-1])
+        # np.hamming's own centre is exactly 1, so the window is np.hamming bit for bit
+        for n in range(1, 4096, 2):
+            assert hamming_lag_window(n).coefficients[n // 2] == 1.0
 
     def test_even_length_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             hamming_lag_window(126)
         with pytest.raises(ValueError, match="odd"):
             rectangular_lag_window(4)
+        for make in (hamming_lag_window, rectangular_lag_window):
+            for length in (0, -1):
+                with pytest.raises(ValueError):
+                    make(length)
 
     def test_non_unit_center_rejected(self):
         with pytest.raises(ValueError, match="center"):
